@@ -47,6 +47,9 @@ cargo test -q -p oarsmt-router --test context_properties
 echo "==> queue-policy equivalence (Dial == heap oracle bit-identity, A* golden pins)"
 cargo test -q -p oarsmt-router --test queue_equivalence
 
+echo "==> Prim-field equivalence (resumable build == per-step restart Prim oracle, DESIGN.md §12.6)"
+cargo test -q -p oarsmt-router --test prim_field
+
 echo "==> batched-path equivalence (batch == sequential bit-identity at nn/core/rl levels)"
 cargo test -q -p oarsmt-nn batch
 cargo test -q -p oarsmt batch

@@ -8,6 +8,11 @@
 //! same layouts, so heap-vs-dial is an honest like-for-like comparison
 //! (unlike cross-artifact speedups, which also pick up unrelated drift).
 //!
+//! The Heap and Dial lanes differ only in the polish reroutes: every OARMST
+//! build runs the heap-ordered resumable Prim field under both policies
+//! (DESIGN.md §12.6), so `dial_speedup` measures Dial's gain on the
+//! reroutes diluted by identical build work.
+//!
 //! Checked invariants (DESIGN.md §12):
 //!
 //! * heap and Dial per-rung cost checksums must match **bit-identically**

@@ -17,6 +17,12 @@
 //! bound (a *documented divergence*: same per-query path cost, possibly
 //! different tie geometry). The search-order and tie-break contract all
 //! three policies obey is specified in DESIGN.md §12.
+//!
+//! The OARMST builder's Prim loop runs on the resumable *Prim field*
+//! instead ([`DijkstraWorkspace::field_begin`]): one heap-ordered search
+//! per build that takes each newly connected path as extra distance-0
+//! sources without clearing its queue, bit-identical to restarting the
+//! heap search at every Prim step (DESIGN.md §12.6).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -128,6 +134,12 @@ pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 /// the heap's `(cost, vertex index)` order, so `Auto`, `Heap`, and `Dial`
 /// are bit-identical — the heap stays available as the oracle the
 /// equivalence property tests and benches compare against.
+///
+/// The policy selects the queue of the per-query `shortest_path_to_set*`
+/// entry points. OARMST builds consult it only for `AStar`: under every
+/// other policy they run the heap-ordered Prim field
+/// ([`DijkstraWorkspace::field_next_into`], DESIGN.md §12.6), so in the
+/// router the policy picks the queue of the polish reroutes.
 ///
 /// ```
 /// use oarsmt_geom::{GridPoint, HananGraph};
@@ -294,6 +306,12 @@ pub struct DijkstraWorkspace {
     bucket: BucketQueue,
     /// The A* lower bound, rebuilt per `AStar` query.
     bound: RectilinearBound,
+    /// Search window of the running Prim field
+    /// ([`DijkstraWorkspace::field_begin`]); `None` is the whole grid.
+    field_bounds: Option<SearchBounds>,
+    /// First source seeded into the running Prim field: the `from` of its
+    /// [`GraphError::Unreachable`].
+    field_origin: Option<GridPoint>,
     /// Tier A telemetry: settled pops, relaxation attempts, queue pushes
     /// and Dial cursor scans ([`Counter::DijkstraPops`] and friends).
     /// Monotone across queries; owners read deltas (see
@@ -1012,6 +1030,126 @@ impl DijkstraWorkspace {
         })
     }
 
+    /// Starts a resumable multi-source search — the Prim field of
+    /// DESIGN.md §12.6 — on `graph`, optionally confined to `bounds` (the
+    /// same window rule as [`DijkstraWorkspace::shortest_path_to_set`]:
+    /// sources may lie outside it, relaxations may not). Seed it with
+    /// [`DijkstraWorkspace::field_add_sources`] and grow it with
+    /// [`DijkstraWorkspace::field_next_into`]; any other query on this
+    /// workspace ends the field.
+    pub fn field_begin(&mut self, graph: &HananGraph, bounds: Option<SearchBounds>) {
+        self.prepare(graph.len());
+        self.field_bounds = bounds;
+        self.field_origin = None;
+    }
+
+    /// Adds `sources` to the running field as distance-0 sources **without
+    /// clearing the queue**: vertices settled so far keep their labels, and
+    /// only those whose distance now drops are pushed again. Blocked
+    /// sources and vertices already at distance 0 are skipped.
+    pub fn field_add_sources(&mut self, graph: &HananGraph, sources: &[GridPoint]) {
+        for &s in sources {
+            if graph.is_blocked(s) {
+                continue;
+            }
+            let idx = graph.index(s);
+            if self.fresh(idx) || self.dist[idx] > 0.0 {
+                self.stamp[idx] = self.epoch;
+                self.dist[idx] = 0.0;
+                self.prev[idx] = NO_PREV;
+                self.counters.bump(Counter::DijkstraPushes);
+                self.heap.push(Entry {
+                    cost: 0.0,
+                    idx: idx as u32,
+                });
+                self.field_origin.get_or_insert(s);
+            }
+        }
+    }
+
+    /// Resumes the field until the first vertex accepted by `is_target`
+    /// pops, writes the path from its source into `out` (cleared first)
+    /// and returns its cost.
+    ///
+    /// The result is bit-identical to
+    /// [`DijkstraWorkspace::shortest_path_to_set_into`] restarted from every
+    /// source added so far (DESIGN.md §12.6): pops follow the heap's
+    /// `(cost, vertex index)` order, and a relaxation that ties the current
+    /// label re-points `prev` when the relaxing vertex precedes the current
+    /// predecessor in that order, so every `prev` is the first-popped tight
+    /// neighbour a restarted search would record. The popped target is not
+    /// relaxed; add it (with its path) as a source before the next call.
+    ///
+    /// `adj` must be built for `graph` (see
+    /// [`GridAdjacency::ensure`](crate::csr::GridAdjacency::ensure)).
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::EmptyTerminalSet`] if no source was ever added.
+    /// * [`GraphError::Unreachable`] (from the first source) once the
+    ///   queue drains without a target.
+    ///
+    /// # Panics
+    ///
+    /// Panics (on index out of range) if `adj` was built for a smaller
+    /// graph.
+    pub fn field_next_into<F>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &crate::csr::GridAdjacency,
+        is_target: F,
+        out: &mut Vec<GridPoint>,
+    ) -> Result<f64, GraphError>
+    where
+        F: Fn(usize) -> bool,
+    {
+        out.clear();
+        let Some(origin) = self.field_origin else {
+            return Err(GraphError::EmptyTerminalSet);
+        };
+        while let Some(Entry { cost, idx }) = self.heap.pop() {
+            let idx = idx as usize;
+            if cost > self.dist[idx] {
+                continue; // stale entry, superseded by a lower label
+            }
+            self.counters.bump(Counter::DijkstraPops);
+            if is_target(idx) {
+                return Ok(self.reconstruct_into(graph, idx, out));
+            }
+            for (qi, w) in adj.neighbors(idx) {
+                if let Some(b) = self.field_bounds {
+                    if !b.contains(graph.point(qi as usize)) {
+                        continue;
+                    }
+                }
+                let qi = qi as usize;
+                let nd = cost + w;
+                self.counters.bump(Counter::DijkstraRelaxations);
+                if self.fresh(qi) || nd < self.dist[qi] {
+                    self.stamp[qi] = self.epoch;
+                    self.dist[qi] = nd;
+                    self.prev[qi] = idx as u32;
+                    self.counters.bump(Counter::DijkstraPushes);
+                    self.heap.push(Entry {
+                        cost: nd,
+                        idx: qi as u32,
+                    });
+                } else if nd == self.dist[qi] {
+                    // A tie keeps the label; the predecessor becomes the
+                    // earlier of the two in `(cost, index)` pop order.
+                    let p = self.prev[qi];
+                    if p != NO_PREV && (cost, idx) < (self.dist[p as usize], p as usize) {
+                        self.prev[qi] = idx as u32;
+                    }
+                }
+            }
+        }
+        Err(GraphError::Unreachable {
+            from: origin,
+            to: None,
+        })
+    }
+
     /// Full single-source Dijkstra; returns the distance to every vertex
     /// (`f64::INFINITY` where unreachable).
     ///
@@ -1556,6 +1694,56 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, GraphError::Unreachable { .. }));
+    }
+
+    #[test]
+    fn field_steps_match_restarted_searches() {
+        // Uniform costs: equal-cost ties everywhere, so the tie re-point
+        // rule decides most predecessors.
+        let mut g = open_grid(9, 8, 2);
+        for &(h, v, m) in &[(3, 1, 0), (3, 2, 0), (3, 3, 0), (5, 5, 1), (6, 5, 1)] {
+            g.add_obstacle_vertex(GridPoint::new(h, v, m)).unwrap();
+        }
+        let mut adj = crate::csr::GridAdjacency::new();
+        adj.ensure(&g);
+        let terminals = [(8, 7, 1), (0, 7, 0), (8, 0, 0), (4, 4, 1), (2, 6, 0)]
+            .map(|(h, v, m)| g.index(GridPoint::new(h, v, m)));
+        for bounds in [
+            None,
+            Some(SearchBounds::around(&g, [GridPoint::new(1, 1, 0)], 5)),
+        ] {
+            let mut field = DijkstraWorkspace::new();
+            let mut restart = DijkstraWorkspace::new();
+            let mut sources = vec![GridPoint::new(1, 1, 0)];
+            let mut left = terminals.to_vec();
+            field.field_begin(&g, bounds);
+            field.field_add_sources(&g, &sources);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            loop {
+                let want = restart.shortest_path_to_set_into(
+                    &g,
+                    &sources,
+                    |i| left.contains(&i),
+                    bounds,
+                    &mut a,
+                );
+                let got = field.field_next_into(&g, &adj, |i| left.contains(&i), &mut b);
+                assert_eq!(want, got);
+                assert_eq!(a, b);
+                if got.is_err() {
+                    break;
+                }
+                field.field_add_sources(&g, &b);
+                sources.extend_from_slice(&b); // repeats seed once
+                left.retain(|&t| t != g.index(b[b.len() - 1]));
+            }
+            // Unbounded, every terminal connects; the window cuts some off.
+            assert_eq!(left.is_empty(), bounds.is_none());
+        }
+        assert_eq!(
+            DijkstraWorkspace::new().field_next_into(&g, &adj, |_| true, &mut Vec::new()),
+            Err(GraphError::EmptyTerminalSet)
+        );
     }
 
     #[test]

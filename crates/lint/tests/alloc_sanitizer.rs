@@ -1,6 +1,7 @@
 //! Dynamic counterpart of the static D2 zero-alloc rule: a counting
 //! `#[global_allocator]` proves the registered hot paths (`route_in`,
-//! `predict_with_fsp_in`, the batched `fsp_batch_into_ws` flush) perform
+//! `route_cost_in`, `predict_with_fsp_in`, the batched
+//! `fsp_batch_into_ws` flush) perform
 //! **zero** heap allocations in steady state,
 //! and that `search_in` reaches a stable per-call allocation count
 //! (its [`SearchOutcome`] owns freshly allocated label/counter vectors, so
@@ -142,6 +143,28 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         "flight recorder recorded nothing during the traced routes"
     );
     ctx.trace.disable();
+
+    // --- route_cost_in through the resumable Prim field (DESIGN.md §12.6),
+    // unbounded and windowed: resumed builds reuse the workspace's heap and
+    // stamped arrays, so they allocate nothing once warm. ---
+    for router in [
+        OarmstRouter::new(),
+        OarmstRouter::new().with_bounds_margin(1),
+    ] {
+        let mut warm = 0.0;
+        for _ in 0..3 {
+            warm = router.route_cost_in(&mut ctx, &g, &candidates).unwrap();
+        }
+        let (n, steady) = allocs_during(|| {
+            let mut cost = 0.0;
+            for _ in 0..8 {
+                cost = router.route_cost_in(&mut ctx, &g, &candidates).unwrap();
+            }
+            cost
+        });
+        assert_eq!(n, 0, "route_cost_in allocated {n} times in steady state");
+        assert_eq!(steady, warm, "steady-state route_cost_in result drifted");
+    }
 
     // --- route_in under QueuePolicy::AStar: the f = g + h heap search and
     // its per-iteration target-hint rebuild are also allocation-free once

@@ -6,7 +6,8 @@
 //!
 //! 1. runs Prim's algorithm where "expanding the tree" is a multi-source
 //!    maze-routing (Dijkstra) query from the current tree to the nearest
-//!    unconnected terminal,
+//!    unconnected terminal — one resumable search per build that takes
+//!    each connected path as new sources (DESIGN.md §12.6),
 //! 2. removes **redundant** Steiner candidates — those with tree degree
 //!    less than 3 (Section 2.1: such a point "cannot act as an effective
 //!    intermediate vertex"),
@@ -14,7 +15,8 @@
 //!    irredundant candidates, repeating until no candidate is redundant.
 
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_graph::QueuePolicy;
+use oarsmt_graph::dijkstra::SearchBounds;
+use oarsmt_graph::{GraphError, QueuePolicy};
 use oarsmt_telemetry::Span;
 
 use crate::context::RouteContext;
@@ -33,12 +35,15 @@ use crate::tree::RouteTree;
 ///   when set, every maze query is restricted to the bounding box of the
 ///   remaining terminals expanded by the margin (used by the \[14\]
 ///   baseline; `None` searches the whole grid),
-/// * `queue_policy` — the [`QueuePolicy`] every maze query runs under.
-///   The default `Auto` selects Dial's bucket queue on bounded-integer
-///   cost models (bit-identical to the heap, DESIGN.md §12.3);
-///   `QueuePolicy::Heap` forces the oracle and `QueuePolicy::AStar` opts
-///   into the goal-directed search with its documented tie-break
-///   divergence (§12.4).
+/// * `queue_policy` — the [`QueuePolicy`] of the maze queries. Under
+///   `Auto` (the default), `Heap` and `Dial`, every Prim build grows one
+///   resumable heap-ordered field (DESIGN.md §12.6, bit-identical to a
+///   per-step restarted heap search), and the policy selects only the
+///   queue of the polish reroutes: `Auto` takes Dial's bucket queue on
+///   bounded-integer cost models (bit-identical to the heap, §12.3) and
+///   `Heap` forces the oracle. `QueuePolicy::AStar` runs the builds as
+///   per-step goal-directed searches and the reroutes likewise, with its
+///   documented tie-break divergence (§12.4).
 #[derive(Debug, Clone)]
 pub struct OarmstRouter {
     max_prune_rounds: Option<usize>,
@@ -99,9 +104,10 @@ impl OarmstRouter {
         self
     }
 
-    /// Selects the [`QueuePolicy`] for every maze query this router issues,
-    /// including the polish pass (builder style; default
-    /// [`QueuePolicy::Auto`]).
+    /// Selects the [`QueuePolicy`] of this router's maze queries (builder
+    /// style; default [`QueuePolicy::Auto`]). Builds run the resumable
+    /// Prim field under every policy except [`QueuePolicy::AStar`]; the
+    /// policy always selects the queue of the polish reroutes.
     #[must_use]
     pub fn with_queue_policy(mut self, policy: QueuePolicy) -> Self {
         self.queue_policy = policy;
@@ -303,7 +309,10 @@ impl OarmstRouter {
     }
 
     /// One maze-based Prim pass over `graph.pins() + candidates`, built
-    /// into `tree` (cleared first) using the context's workspaces.
+    /// into `tree` (cleared first) using the context's workspaces. Each
+    /// step connects the cheapest unconnected terminal: by resuming the
+    /// build's one Prim field, or under A* by a per-step search from the
+    /// whole current tree.
     fn build_once_in(
         &self,
         ctx: &mut RouteContext,
@@ -325,11 +334,8 @@ impl OarmstRouter {
         let bounds = self
             .bounds_margin
             .map(|m| ctx.bounds_for(graph, candidates, m));
-        if bounds.is_none() {
-            // Unbounded queries run on the CSR adjacency (bit-identical,
-            // but without per-relaxation grid arithmetic).
-            ctx.adj.ensure(graph);
-        }
+        let use_astar = self.queue_policy == QueuePolicy::AStar;
+        ctx.adj.ensure(graph);
 
         let first = ctx.terminals[self.start % ctx.terminals.len()];
         tree.clear();
@@ -354,40 +360,23 @@ impl OarmstRouter {
             unconnected_pins -= 1;
         }
 
-        let use_astar = self.queue_policy == QueuePolicy::AStar;
+        if !use_astar {
+            // One resumable field per build (DESIGN.md §12.6): every Prim
+            // step resumes the search instead of restarting it.
+            ctx.space.field_begin(graph, bounds);
+            ctx.space.field_add_sources(graph, &ctx.tree_vertices);
+        }
         while !ctx.unconnected.is_empty() {
-            if use_astar {
-                // The A* target hint: the terminals still unconnected.
-                // Exactly the set `is_target` accepts, as the hint
-                // contract requires.
-                ctx.unconnected_points.clear();
-                for k in 0..ctx.terminals.len() {
-                    let t = ctx.terminals[k];
-                    if ctx.unconnected.contains(graph.index(t)) {
-                        ctx.unconnected_points.push(t);
-                    }
-                }
-            }
             ctx.trace.begin(Span::RouteDijkstra);
-            let searched = match bounds {
-                None => ctx.space.shortest_path_to_set_csr_policy_into(
+            let searched = if use_astar {
+                astar_step_in(ctx, graph, bounds)
+            } else {
+                ctx.space.field_next_into(
                     graph,
                     &ctx.adj,
-                    &ctx.tree_vertices,
                     |i| ctx.unconnected.contains(i),
-                    self.queue_policy,
-                    &ctx.unconnected_points,
                     &mut ctx.path_buf,
-                ),
-                Some(_) => ctx.space.shortest_path_to_set_policy_into(
-                    graph,
-                    &ctx.tree_vertices,
-                    |i| ctx.unconnected.contains(i),
-                    bounds,
-                    self.queue_policy,
-                    &ctx.unconnected_points,
-                    &mut ctx.path_buf,
-                ),
+                )
             };
             ctx.trace.end(Span::RouteDijkstra);
             if let Err(e) = searched {
@@ -401,6 +390,9 @@ impl OarmstRouter {
             for w in ctx.path_buf.windows(2) {
                 tree.add_edge(graph, w[0], w[1]);
             }
+            if !use_astar {
+                ctx.space.field_add_sources(graph, &ctx.path_buf);
+            }
             for k in 0..ctx.path_buf.len() {
                 let p = ctx.path_buf[k];
                 let idx = graph.index(p);
@@ -413,6 +405,45 @@ impl OarmstRouter {
             }
         }
         Ok(())
+    }
+}
+
+/// One per-step A* Prim query from the whole current tree to the nearest
+/// unconnected terminal, writing the path into `ctx.path_buf`: the CSR
+/// search when unbounded, the point-based one inside `bounds`.
+fn astar_step_in(
+    ctx: &mut RouteContext,
+    graph: &HananGraph,
+    bounds: Option<SearchBounds>,
+) -> Result<f64, GraphError> {
+    // The A* target hint: the terminals still unconnected. Exactly the set
+    // `is_target` accepts, as the hint contract requires.
+    ctx.unconnected_points.clear();
+    for k in 0..ctx.terminals.len() {
+        let t = ctx.terminals[k];
+        if ctx.unconnected.contains(graph.index(t)) {
+            ctx.unconnected_points.push(t);
+        }
+    }
+    match bounds {
+        None => ctx.space.shortest_path_to_set_csr_policy_into(
+            graph,
+            &ctx.adj,
+            &ctx.tree_vertices,
+            |i| ctx.unconnected.contains(i),
+            QueuePolicy::AStar,
+            &ctx.unconnected_points,
+            &mut ctx.path_buf,
+        ),
+        Some(_) => ctx.space.shortest_path_to_set_policy_into(
+            graph,
+            &ctx.tree_vertices,
+            |i| ctx.unconnected.contains(i),
+            bounds,
+            QueuePolicy::AStar,
+            &ctx.unconnected_points,
+            &mut ctx.path_buf,
+        ),
     }
 }
 

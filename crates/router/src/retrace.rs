@@ -54,6 +54,10 @@ pub fn reroute_terminal_in(
 ) -> Result<Option<RouteTree>, RouteError> {
     let mut adj = std::mem::take(&mut ctx.tree_adj);
     adj.rebuild(tree);
+    // Only a leaf terminal is rerouted; skip the adjacency for the rest.
+    if adj.degree(graph.index(terminals[terminal_idx]) as u32) == 1 {
+        ctx.adj.ensure(graph);
+    }
     let result = reroute_with_adj(
         ctx,
         graph,
@@ -69,7 +73,10 @@ pub fn reroute_terminal_in(
 
 /// [`reroute_terminal_in`] against a caller-supplied adjacency of `tree`
 /// (the polish loop builds it once per accepted tree instead of once per
-/// terminal), under the caller's [`QueuePolicy`].
+/// terminal), under the caller's [`QueuePolicy`]. The caller has already
+/// run `ctx.adj.ensure(graph)` if the terminal is a leaf (the only case
+/// that searches), so the `O(n)` fingerprint check is paid once per polish
+/// round, not once per terminal.
 #[allow(clippy::too_many_arguments)]
 fn reroute_with_adj(
     ctx: &mut RouteContext,
@@ -131,7 +138,6 @@ fn reroute_with_adj(
         return Ok(None);
     }
     let target = graph.index(terminal);
-    ctx.adj.ensure(graph);
     // Single-target reroute: the terminal itself is the exact A* hint.
     if let Err(e) = ctx.space.shortest_path_to_set_csr_policy_into(
         graph,
@@ -197,6 +203,7 @@ pub fn polish_round_policy_in(
 ) -> Result<(RouteTree, bool), RouteError> {
     let mut best = tree;
     let mut improved = false;
+    ctx.adj.ensure(graph);
     let mut adj = std::mem::take(&mut ctx.tree_adj);
     adj.rebuild(&best);
     for idx in 0..terminals.len() {
