@@ -45,6 +45,7 @@ echo "==> route-context property tests"
 cargo test -q -p oarsmt-router --test context_properties
 
 echo "==> queue-policy equivalence (Dial == heap oracle bit-identity, A* golden pins)"
+cargo test -q -p oarsmt-graph --test properties
 cargo test -q -p oarsmt-router --test queue_equivalence
 
 echo "==> Prim-field equivalence (resumable build == per-step restart Prim oracle, DESIGN.md §12.6)"

@@ -25,6 +25,14 @@ pub enum GeomError {
         /// Requested dimensions `(h, v, m)`.
         dims: (usize, usize, usize),
     },
+    /// The grid has `h · v · m ≥ u32::MAX` vertices, or the product
+    /// overflows `usize`. The graph crate stores vertex indices as `u32`
+    /// and reserves `u32::MAX` as a sentinel, so such grids are rejected
+    /// before anything is allocated.
+    TooLarge {
+        /// Requested dimensions `(h, v, m)`.
+        dims: (usize, usize, usize),
+    },
     /// An edge or via cost is not finite or not positive.
     InvalidCost(f64),
     /// A layout has fewer than two pins, so no routing tree exists.
@@ -48,6 +56,11 @@ impl fmt::Display for GeomError {
             GeomError::EmptyDimension { dims } => write!(
                 f,
                 "grid dimensions {}x{}x{} contain an empty axis",
+                dims.0, dims.1, dims.2
+            ),
+            GeomError::TooLarge { dims } => write!(
+                f,
+                "grid dimensions {}x{}x{} exceed the u32 vertex index space",
                 dims.0, dims.1, dims.2
             ),
             GeomError::InvalidCost(c) => {
@@ -77,6 +90,9 @@ mod tests {
             GeomError::PinOnObstacle(GridPoint::new(0, 0, 0)),
             GeomError::DuplicatePin(GridPoint::new(1, 1, 0)),
             GeomError::EmptyDimension { dims: (0, 4, 2) },
+            GeomError::TooLarge {
+                dims: (usize::MAX, 2, 1),
+            },
             GeomError::InvalidCost(f64::NAN),
             GeomError::TooFewPins(1),
             GeomError::NoCuts,

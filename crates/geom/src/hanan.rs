@@ -117,6 +117,8 @@ impl HananGraph {
     /// # Errors
     ///
     /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
+    /// * [`GeomError::TooLarge`] if `h · v · m` overflows `usize` or is
+    ///   `≥ u32::MAX`, past the graph crate's `u32` vertex indices.
     /// * [`GeomError::InvalidCost`] if any gap or via cost is not finite and
     ///   positive, or a cost vector has the wrong length (reported with the
     ///   offending length as the cost value `-1.0`).
@@ -128,9 +130,7 @@ impl HananGraph {
         y_costs: Vec<f64>,
         via_cost: f64,
     ) -> Result<Self, GeomError> {
-        if h == 0 || v == 0 || m == 0 {
-            return Err(GeomError::EmptyDimension { dims: (h, v, m) });
-        }
+        let n = HananGraph::vertex_count(h, v, m)?;
         if x_costs.len() != h - 1 || y_costs.len() != v - 1 {
             return Err(GeomError::InvalidCost(-1.0));
         }
@@ -151,9 +151,28 @@ impl HananGraph {
             x_costs,
             y_costs,
             via_cost,
-            kind: vec![VertexKind::Empty; h * v * m],
+            kind: vec![VertexKind::Empty; n],
             pins: Vec::new(),
         })
+    }
+
+    /// Checks grid dimensions before anything is allocated and returns the
+    /// vertex count `h · v · m`.
+    ///
+    /// # Errors
+    ///
+    /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
+    /// * [`GeomError::TooLarge`] if the product overflows `usize` or is
+    ///   `≥ u32::MAX`: the graph crate stores vertex indices as `u32` and
+    ///   reserves `u32::MAX` as its "no predecessor" sentinel.
+    pub(crate) fn vertex_count(h: usize, v: usize, m: usize) -> Result<usize, GeomError> {
+        if h == 0 || v == 0 || m == 0 {
+            return Err(GeomError::EmptyDimension { dims: (h, v, m) });
+        }
+        h.checked_mul(v)
+            .and_then(|hv| hv.checked_mul(m))
+            .filter(|&n| n < u32::MAX as usize)
+            .ok_or(GeomError::TooLarge { dims: (h, v, m) })
     }
 
     /// Builds the 3D Hanan grid graph of a physical [`Layout`], following
@@ -189,6 +208,7 @@ impl HananGraph {
         let h = xs.len();
         let v = ys.len();
         let m = layout.layers();
+        let n = HananGraph::vertex_count(h, v, m)?;
         let x_costs = xs.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
         let y_costs = ys.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
         let mut g = HananGraph {
@@ -200,7 +220,7 @@ impl HananGraph {
             x_costs,
             y_costs,
             via_cost: layout.via_cost(),
-            kind: vec![VertexKind::Empty; h * v * m],
+            kind: vec![VertexKind::Empty; n],
             pins: Vec::new(),
         };
         // Obstacles first so pin/obstacle collisions are caught by add_pin.

@@ -176,6 +176,8 @@ pub fn parse_case(text: &str) -> Result<HananGraph, ParseCaseError> {
     }
 
     let (h, v, m) = dims.ok_or(ParseCaseError::MissingHeader)?;
+    // Before the default cost vectors: their length follows the header.
+    HananGraph::vertex_count(h, v, m)?;
     let xcosts = xcosts.unwrap_or_else(|| vec![1.0; h.saturating_sub(1)]);
     let ycosts = ycosts.unwrap_or_else(|| vec![1.0; v.saturating_sub(1)]);
     let mut graph = HananGraph::with_costs(h, v, m, xcosts, ycosts, via)?;
@@ -246,6 +248,35 @@ mod tests {
         // Out-of-bounds pin.
         let err = parse_case("hanan 3 3 1\npin 9 9 9\n").unwrap_err();
         assert!(matches!(err, ParseCaseError::Geometry(_)));
+    }
+
+    #[test]
+    fn overflowing_dimensions_are_a_typed_error() {
+        // h · v · m overflows usize; rejected before any allocation.
+        let err = parse_case("hanan 18446744073709551615 2 1\n").unwrap_err();
+        assert_eq!(
+            err,
+            ParseCaseError::Geometry(GeomError::TooLarge {
+                dims: (usize::MAX, 2, 1)
+            })
+        );
+    }
+
+    #[test]
+    fn dimensions_past_u32_indices_are_a_typed_error() {
+        // At the u32::MAX vertex limit and past it; the default x costs
+        // of the first header alone would take 32 GiB.
+        for (text, dims) in [
+            ("hanan 4294967295 1 1\n", (4294967295, 1, 1)),
+            ("hanan 65536 65536 1\n", (65536, 65536, 1)),
+        ] {
+            let err = parse_case(text).unwrap_err();
+            assert_eq!(
+                err,
+                ParseCaseError::Geometry(GeomError::TooLarge { dims }),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! construction (Section 3.1): it finds the cheapest obstacle-avoiding
 //! rectilinear path, counting via costs for layer changes.
 //!
-//! [`DijkstraWorkspace`] owns the per-vertex arrays and can be reused
-//! across queries on same-sized graphs (the arrays are invalidated by an
-//! epoch counter rather than cleared); the plain free functions are
-//! one-shot conveniences and the `_in` variants thread a caller-owned
-//! workspace through for allocation-free repeated queries.
+//! [`DijkstraWorkspace`] owns the per-vertex arrays and is reused across
+//! queries (the arrays are invalidated by an epoch counter rather than
+//! cleared). Every maze query goes through one method,
+//! [`DijkstraWorkspace::search_into`]: a multi-source, multi-target search
+//! over the graph's CSR [`GridAdjacency`], optionally confined to a
+//! [`SearchBounds`] window, that writes its path into a caller-owned
+//! buffer, so repeated queries allocate nothing.
 //!
 //! Every query runs under a [`QueuePolicy`]: the binary heap (the retained
 //! oracle), Dial's bucket queue (bit-identical to the heap whenever the
@@ -31,8 +33,8 @@ use oarsmt_geom::{GridPoint, HananGraph};
 use oarsmt_telemetry::{Counter, CounterSet};
 
 use crate::bucket::BucketQueue;
+use crate::csr::GridAdjacency;
 use crate::error::GraphError;
-use crate::path::GridPath;
 
 /// Sentinel for "no predecessor".
 const NO_PREV: u32 = u32::MAX;
@@ -135,26 +137,30 @@ pub const DIAL_MAX_EDGE_COST: u64 = 4096;
 /// are bit-identical — the heap stays available as the oracle the
 /// equivalence property tests and benches compare against.
 ///
-/// The policy selects the queue of the per-query `shortest_path_to_set*`
-/// entry points. OARMST builds consult it only for `AStar`: under every
-/// other policy they run the heap-ordered Prim field
+/// The policy selects the queue of [`DijkstraWorkspace::search_into`], the
+/// one per-query maze search. OARMST builds consult it only for `AStar`:
+/// under every other policy they run the heap-ordered Prim field
 /// ([`DijkstraWorkspace::field_next_into`], DESIGN.md §12.6), so in the
 /// router the policy picks the queue of the polish reroutes.
 ///
 /// ```
 /// use oarsmt_geom::{GridPoint, HananGraph};
 /// use oarsmt_graph::dijkstra::{DijkstraWorkspace, QueuePolicy};
+/// use oarsmt_graph::GridAdjacency;
 ///
 /// let g = HananGraph::uniform(6, 6, 1, 1.0, 1.0, 3.0);
+/// let mut adj = GridAdjacency::new();
+/// adj.ensure(&g);
 /// let mut ws = DijkstraWorkspace::new();
 /// let t = g.index(GridPoint::new(5, 4, 0));
 /// let src = [GridPoint::new(0, 0, 0)];
-/// let heap = ws
-///     .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])?;
-/// let dial = ws
-///     .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Dial, &[])?;
-/// assert_eq!(heap.cost.to_bits(), dial.cost.to_bits());
-/// assert_eq!(heap.points, dial.points); // bit-identical, not just equal-cost
+/// let (mut heap, mut dial) = (Vec::new(), Vec::new());
+/// let heap_cost =
+///     ws.search_into(&g, &adj, &src, |i| i == t, None, QueuePolicy::Heap, &[], &mut heap)?;
+/// let dial_cost =
+///     ws.search_into(&g, &adj, &src, |i| i == t, None, QueuePolicy::Dial, &[], &mut dial)?;
+/// assert_eq!(heap_cost.to_bits(), dial_cost.to_bits());
+/// assert_eq!(heap, dial); // bit-identical, not just equal-cost
 /// # Ok::<(), oarsmt_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -319,10 +325,6 @@ pub struct DijkstraWorkspace {
     pub counters: CounterSet,
 }
 
-/// The pre-refactor name of [`DijkstraWorkspace`], kept as an alias so
-/// existing call sites keep compiling.
-pub type SearchSpace = DijkstraWorkspace;
-
 impl DijkstraWorkspace {
     /// Creates an empty workspace; arrays grow on first use.
     pub fn new() -> Self {
@@ -351,49 +353,68 @@ impl DijkstraWorkspace {
         self.stamp[idx] != self.epoch
     }
 
-    /// Multi-source, multi-target shortest path: from the cheapest of
-    /// `sources` (each with an initial cost of zero) to the first settled
-    /// vertex for which `is_target` returns `true`.
+    /// Labels source `s` at distance 0 and counts its push; returns its
+    /// index for the caller's queue, or `None` when `s` is blocked or
+    /// already at distance 0.
+    fn seed(&mut self, graph: &HananGraph, s: GridPoint) -> Option<u32> {
+        if graph.is_blocked(s) {
+            return None;
+        }
+        let idx = graph.index(s);
+        if !self.fresh(idx) && self.dist[idx] <= 0.0 {
+            return None;
+        }
+        self.stamp[idx] = self.epoch;
+        self.dist[idx] = 0.0;
+        self.prev[idx] = NO_PREV;
+        self.counters.bump(Counter::DijkstraPushes);
+        Some(idx as u32)
+    }
+
+    /// The maze query: multi-source, multi-target shortest path from the
+    /// cheapest of `sources` (each at cost zero) to the first settled
+    /// vertex `is_target` accepts. Writes the path, source first, into
+    /// `out` (cleared first) and returns its cost. Every per-query search
+    /// in the workspace runs through here, so repeated queries allocate
+    /// nothing once `out` and the workspace are warm.
     ///
-    /// `bounds`, when given, restricts expansion to a rectangular grid
-    /// window (targets outside the window are unreachable).
+    /// * `adj` is the graph's CSR adjacency (see
+    ///   [`GridAdjacency::ensure`]); it lists neighbours in
+    ///   [`HananGraph::neighbors`] order with the same `f64` costs.
+    /// * `bounds`, when given, confines relaxations to a rectangular grid
+    ///   window. Sources may lie outside it; targets outside it are
+    ///   unreachable. The Prim field applies the same rule.
+    /// * `policy` picks the queue (DESIGN.md §12). `targets` is the A*
+    ///   hint: under [`QueuePolicy::AStar`] it must include every vertex
+    ///   `is_target` accepts, or the first settled target is not
+    ///   guaranteed cheapest. The other policies ignore it; pass `&[]`.
+    ///   `Auto`, `Heap` and `Dial` return bit-identical paths and
+    ///   pop/relaxation/push counts (§12.3); `AStar` returns the same
+    ///   cost bits but possibly a different equal-cost path (§12.4).
     ///
     /// # Errors
     ///
     /// * [`GraphError::EmptyTerminalSet`] if `sources` is empty.
     /// * [`GraphError::BlockedSource`] if every source is blocked.
-    /// * [`GraphError::Unreachable`] if no target can be reached.
-    pub fn shortest_path_to_set<F>(
+    /// * [`GraphError::Unreachable`] (from the first source) if no target
+    ///   can be reached.
+    ///
+    /// On error `out` is left cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics (on index out of range) if `adj` was built for a smaller
+    /// graph.
+    #[allow(clippy::too_many_arguments)]
+    pub fn search_into<F>(
         &mut self,
         graph: &HananGraph,
+        adj: &GridAdjacency,
         sources: &[GridPoint],
         is_target: F,
         bounds: Option<SearchBounds>,
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost =
-            self.shortest_path_to_set_into(graph, sources, is_target, bounds, &mut points)?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set`] writing the path into a
-    /// caller-owned buffer (cleared first) instead of allocating a
-    /// [`GridPath`]; returns the path cost. This is the allocation-free
-    /// entry point of the maze-routing hot loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    pub fn shortest_path_to_set_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
+        policy: QueuePolicy,
+        targets: &[GridPoint],
         out: &mut Vec<GridPoint>,
     ) -> Result<f64, GraphError>
     where
@@ -403,29 +424,44 @@ impl DijkstraWorkspace {
         if sources.is_empty() {
             return Err(GraphError::EmptyTerminalSet);
         }
-        self.prepare(graph.len());
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: 0.0,
-                    idx: idx as u32,
-                });
-                any_source = true;
-            }
-        }
-        if !any_source {
+        if sources.iter().all(|&s| graph.is_blocked(s)) {
             return Err(GraphError::BlockedSource(sources[0]));
         }
+        self.prepare(graph.len());
+        let found = match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
+            ResolvedQueue::Heap => self.heap_search(graph, adj, sources, is_target, bounds),
+            ResolvedQueue::Dial(ceiling) => {
+                self.dial_search(graph, adj, sources, is_target, bounds, ceiling)
+            }
+            ResolvedQueue::AStar => {
+                self.astar_search(graph, adj, sources, is_target, bounds, targets)
+            }
+        };
+        match found {
+            Some(target) => Ok(self.reconstruct_into(graph, target, out)),
+            None => Err(GraphError::Unreachable { from: sources[0] }),
+        }
+    }
 
+    /// The binary-heap search — the oracle the Dial queue, A* and the Prim
+    /// field are checked against. Returns the first settled target, or
+    /// `None` once the queue drains.
+    fn heap_search<F>(
+        &mut self,
+        graph: &HananGraph,
+        adj: &GridAdjacency,
+        sources: &[GridPoint],
+        is_target: F,
+        bounds: Option<SearchBounds>,
+    ) -> Option<usize>
+    where
+        F: Fn(usize) -> bool,
+    {
+        for &s in sources {
+            if let Some(idx) = self.seed(graph, s) {
+                self.heap.push(Entry { cost: 0.0, idx });
+            }
+        }
         while let Some(Entry { cost, idx }) = self.heap.pop() {
             let idx = idx as usize;
             if cost > self.dist[idx] {
@@ -433,136 +469,15 @@ impl DijkstraWorkspace {
             }
             self.counters.bump(Counter::DijkstraPops);
             if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                if let Some(b) = bounds {
-                    if !b.contains(q) {
-                        continue;
-                    }
-                }
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd,
-                        idx: qi as u32,
-                    });
-                }
-            }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set`] driven by a prebuilt
-    /// [`GridAdjacency`](crate::csr::GridAdjacency) instead of the
-    /// point-based [`HananGraph::neighbors`] iterator.
-    ///
-    /// The CSR lists neighbors in exactly the iterator's order with the
-    /// same `f64` edge costs, so the heap sees an identical push/pop
-    /// sequence and the result is bit-identical to the unbounded
-    /// point-based search — only the per-relaxation grid arithmetic and
-    /// obstacle lookups are gone. There is no `bounds` parameter: bounded
-    /// callers keep the point-based method.
-    ///
-    /// `adj` must be built for `graph` (see
-    /// [`GridAdjacency::ensure`](crate::csr::GridAdjacency::ensure)).
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost =
-            self.shortest_path_to_set_csr_into(graph, adj, sources, is_target, &mut points)?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr`] writing the path
-    /// into a caller-owned buffer (cleared first) instead of allocating a
-    /// [`GridPath`]; returns the path cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: 0.0,
-                    idx: idx as u32,
-                });
-                any_source = true;
-            }
-        }
-        if !any_source {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-
-        while let Some(Entry { cost, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if cost > self.dist[idx] {
-                continue; // stale heap entry
-            }
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
+                return Some(idx);
             }
             for (qi, w) in adj.neighbors(idx) {
                 let qi = qi as usize;
+                if let Some(b) = bounds {
+                    if !b.contains(graph.point(qi)) {
+                        continue;
+                    }
+                }
                 let nd = cost + w;
                 self.counters.bump(Counter::DijkstraRelaxations);
                 if self.fresh(qi) || nd < self.dist[qi] {
@@ -577,425 +492,93 @@ impl DijkstraWorkspace {
                 }
             }
         }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
+        None
     }
 
-    /// [`DijkstraWorkspace::shortest_path_to_set`] under an explicit
-    /// [`QueuePolicy`].
-    ///
-    /// `targets` is the A* hint: under [`QueuePolicy::AStar`] it must
-    /// include every vertex `is_target` accepts (the lower bound must be
-    /// zero on all targets, or the first settled target is not guaranteed
-    /// cheapest). The other policies ignore it; pass `&[]`. `Auto`,
-    /// `Heap`, and `Dial` return bit-identical results (DESIGN.md §12.3);
-    /// `AStar` returns the same cost bits but possibly a different
-    /// equal-cost path (§12.4).
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    pub fn shortest_path_to_set_policy<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost = self.shortest_path_to_set_policy_into(
-            graph,
-            sources,
-            is_target,
-            bounds,
-            policy,
-            targets,
-            &mut points,
-        )?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_policy`] writing the path
-    /// into a caller-owned buffer (cleared first); returns the path cost.
-    /// This is the allocation-free policy-dispatched entry point of the
-    /// maze-routing hot loop.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shortest_path_to_set_policy_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
-            ResolvedQueue::Heap => {
-                self.shortest_path_to_set_into(graph, sources, is_target, bounds, out)
-            }
-            ResolvedQueue::Dial(ceiling) => {
-                self.dial_search_point(graph, sources, is_target, bounds, ceiling, out)
-            }
-            ResolvedQueue::AStar => {
-                self.astar_search_point(graph, sources, is_target, bounds, targets, out)
-            }
-        }
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr`] under an explicit
-    /// [`QueuePolicy`]. See
-    /// [`DijkstraWorkspace::shortest_path_to_set_policy`] for the
-    /// `targets` hint contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    pub fn shortest_path_to_set_csr_policy<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-    ) -> Result<GridPath, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        let mut points = Vec::new();
-        let cost = self.shortest_path_to_set_csr_policy_into(
-            graph,
-            adj,
-            sources,
-            is_target,
-            policy,
-            targets,
-            &mut points,
-        )?;
-        Ok(GridPath { points, cost })
-    }
-
-    /// [`DijkstraWorkspace::shortest_path_to_set_csr_policy`] writing the
-    /// path into a caller-owned buffer (cleared first); returns the path
-    /// cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`DijkstraWorkspace::shortest_path_to_set`]. On error `out` is
-    /// left cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on index out of range) if `adj` was built for a smaller
-    /// graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shortest_path_to_set_csr_policy_into<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        policy: QueuePolicy,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        match policy.resolve(graph.integer_cost_ceiling(), !targets.is_empty()) {
-            ResolvedQueue::Heap => {
-                self.shortest_path_to_set_csr_into(graph, adj, sources, is_target, out)
-            }
-            ResolvedQueue::Dial(ceiling) => {
-                self.dial_search_csr(graph, adj, sources, is_target, ceiling, out)
-            }
-            ResolvedQueue::AStar => {
-                self.astar_search_csr(graph, adj, sources, is_target, targets, out)
-            }
-        }
-    }
-
-    /// Seeds a query's sources into `dist`/`prev` and the Dial bucket
-    /// queue (all at key 0). Returns whether any source was usable.
-    fn dial_seed(&mut self, graph: &HananGraph, sources: &[GridPoint], ceiling: u64) -> bool {
-        self.prepare(graph.len());
-        self.bucket.reset(ceiling.max(1) as usize);
-        let mut any_source = false;
-        for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.bucket.push(0, idx as u32);
-                any_source = true;
-            }
-        }
-        any_source
-    }
-
-    /// The point-based Dial search: the heap loop of
-    /// [`DijkstraWorkspace::shortest_path_to_set_into`] with the binary
-    /// heap replaced by the bucket queue. Bit-identical to the heap path
+    /// The heap search with the binary heap replaced by Dial's bucket
+    /// queue. Bit-identical to [`DijkstraWorkspace::heap_search`]
     /// (DESIGN.md §12.3): bucket pop order is `(cost, vertex index)` and
     /// the `done` stamp reproduces the heap's stale-entry skip, so
     /// `dist`/`prev`, the returned path, its cost bits, and the
     /// pops/relaxations/pushes counters all match exactly.
-    fn dial_search_point<F>(
+    fn dial_search<F>(
         &mut self,
         graph: &HananGraph,
+        adj: &GridAdjacency,
         sources: &[GridPoint],
         is_target: F,
         bounds: Option<SearchBounds>,
         ceiling: u64,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
+    ) -> Option<usize>
     where
         F: Fn(usize) -> bool,
     {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        if !self.dial_seed(graph, sources, ceiling) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        let mut scans = 0u64;
-        let result = loop {
-            let Some((_key, idx)) = self.bucket.pop_min(&mut scans) else {
-                break Err(GraphError::Unreachable {
-                    from: sources[0],
-                    to: None,
-                });
-            };
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate (the heap's `cost > dist` skip)
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                break Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let cost = self.dist[idx];
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                if let Some(b) = bounds {
-                    if !b.contains(q) {
-                        continue;
-                    }
-                }
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.bucket.push(nd as u64, qi as u32);
-                }
-            }
-        };
-        self.counters.add(Counter::DijkstraBucketScans, scans);
-        result
-    }
-
-    /// The CSR-driven Dial search; see
-    /// [`DijkstraWorkspace::dial_search_point`] for the bit-identity
-    /// argument (the CSR lists neighbors in the iterator's order, so the
-    /// push sequence is unchanged).
-    fn dial_search_csr<F>(
-        &mut self,
-        graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
-        sources: &[GridPoint],
-        is_target: F,
-        ceiling: u64,
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        if !self.dial_seed(graph, sources, ceiling) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        let mut scans = 0u64;
-        let result = loop {
-            let Some((_key, idx)) = self.bucket.pop_min(&mut scans) else {
-                break Err(GraphError::Unreachable {
-                    from: sources[0],
-                    to: None,
-                });
-            };
-            let idx = idx as usize;
-            if self.done[idx] == self.epoch {
-                continue; // stale duplicate (the heap's `cost > dist` skip)
-            }
-            self.done[idx] = self.epoch;
-            self.counters.bump(Counter::DijkstraPops);
-            if is_target(idx) {
-                break Ok(self.reconstruct_into(graph, idx, out));
-            }
-            let cost = self.dist[idx];
-            for (qi, w) in adj.neighbors(idx) {
-                let qi = qi as usize;
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.bucket.push(nd as u64, qi as u32);
-                }
-            }
-        };
-        self.counters.add(Counter::DijkstraBucketScans, scans);
-        result
-    }
-
-    /// Seeds a query's sources into `dist`/`prev` and the binary heap at
-    /// their `f = 0 + h` keys (the bound must already be prepared).
-    /// Returns whether any source was usable.
-    fn astar_seed(&mut self, graph: &HananGraph, sources: &[GridPoint]) -> bool {
-        let mut any_source = false;
+        self.bucket.reset(ceiling.max(1) as usize);
         for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: self.bound.eval(s) as f64,
-                    idx: idx as u32,
-                });
-                any_source = true;
+            if let Some(idx) = self.seed(graph, s) {
+                self.bucket.push(0, idx);
             }
         }
-        any_source
-    }
-
-    /// The point-based A* search: the binary heap ordered by `f = g + h`
-    /// with [`RectilinearBound`] as `h`. All arithmetic stays exact
-    /// (integer-valued `f64`s below 2⁵³), so the returned cost bits match
-    /// the oracle's; the path geometry may differ on cost ties
-    /// (DESIGN.md §12.4).
-    fn astar_search_point<F>(
-        &mut self,
-        graph: &HananGraph,
-        sources: &[GridPoint],
-        is_target: F,
-        bounds: Option<SearchBounds>,
-        targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
-    where
-        F: Fn(usize) -> bool,
-    {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
-        self.bound.prepare(graph, targets);
-        if !self.astar_seed(graph, sources) {
-            return Err(GraphError::BlockedSource(sources[0]));
-        }
-        while let Some(Entry { cost: _f, idx }) = self.heap.pop() {
+        let mut scans = 0u64;
+        let found = loop {
+            let Some((_key, idx)) = self.bucket.pop_min(&mut scans) else {
+                break None;
+            };
             let idx = idx as usize;
             if self.done[idx] == self.epoch {
-                continue; // stale duplicate
+                continue; // stale duplicate (the heap's `cost > dist` skip)
             }
             self.done[idx] = self.epoch;
             self.counters.bump(Counter::DijkstraPops);
             if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
+                break Some(idx);
             }
-            let g = self.dist[idx];
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
+            let cost = self.dist[idx];
+            for (qi, w) in adj.neighbors(idx) {
+                let qi = qi as usize;
                 if let Some(b) = bounds {
-                    if !b.contains(q) {
+                    if !b.contains(graph.point(qi)) {
                         continue;
                     }
                 }
-                let qi = graph.index(q);
-                let nd = g + w;
+                let nd = cost + w;
                 self.counters.bump(Counter::DijkstraRelaxations);
                 if self.fresh(qi) || nd < self.dist[qi] {
                     self.stamp[qi] = self.epoch;
                     self.dist[qi] = nd;
                     self.prev[qi] = idx as u32;
                     self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd + self.bound.eval(q) as f64,
-                        idx: qi as u32,
-                    });
+                    self.bucket.push(nd as u64, qi as u32);
                 }
             }
-        }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
+        };
+        self.counters.add(Counter::DijkstraBucketScans, scans);
+        found
     }
 
-    /// The CSR-driven A* search; one `graph.point` call per improving
-    /// relaxation pays for the `h` evaluation.
-    fn astar_search_csr<F>(
+    /// A* on the binary heap ordered by `f = g + h`, with
+    /// [`RectilinearBound`] over `targets` as `h`. All arithmetic stays
+    /// exact (integer-valued `f64`s below 2⁵³), so the returned cost bits
+    /// match the oracle's; the path geometry may differ on cost ties
+    /// (DESIGN.md §12.4).
+    fn astar_search<F>(
         &mut self,
         graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
+        adj: &GridAdjacency,
         sources: &[GridPoint],
         is_target: F,
+        bounds: Option<SearchBounds>,
         targets: &[GridPoint],
-        out: &mut Vec<GridPoint>,
-    ) -> Result<f64, GraphError>
+    ) -> Option<usize>
     where
         F: Fn(usize) -> bool,
     {
-        out.clear();
-        if sources.is_empty() {
-            return Err(GraphError::EmptyTerminalSet);
-        }
-        self.prepare(graph.len());
         self.bound.prepare(graph, targets);
-        if !self.astar_seed(graph, sources) {
-            return Err(GraphError::BlockedSource(sources[0]));
+        for &s in sources {
+            if let Some(idx) = self.seed(graph, s) {
+                let f = self.bound.eval(s) as f64;
+                self.heap.push(Entry { cost: f, idx });
+            }
         }
         while let Some(Entry { cost: _f, idx }) = self.heap.pop() {
             let idx = idx as usize;
@@ -1005,11 +588,16 @@ impl DijkstraWorkspace {
             self.done[idx] = self.epoch;
             self.counters.bump(Counter::DijkstraPops);
             if is_target(idx) {
-                return Ok(self.reconstruct_into(graph, idx, out));
+                return Some(idx);
             }
             let g = self.dist[idx];
             for (qi, w) in adj.neighbors(idx) {
                 let qi = qi as usize;
+                if let Some(b) = bounds {
+                    if !b.contains(graph.point(qi)) {
+                        continue;
+                    }
+                }
                 let nd = g + w;
                 self.counters.bump(Counter::DijkstraRelaxations);
                 if self.fresh(qi) || nd < self.dist[qi] {
@@ -1024,16 +612,13 @@ impl DijkstraWorkspace {
                 }
             }
         }
-        Err(GraphError::Unreachable {
-            from: sources[0],
-            to: None,
-        })
+        None
     }
 
     /// Starts a resumable multi-source search — the Prim field of
     /// DESIGN.md §12.6 — on `graph`, optionally confined to `bounds` (the
-    /// same window rule as [`DijkstraWorkspace::shortest_path_to_set`]:
-    /// sources may lie outside it, relaxations may not). Seed it with
+    /// same window rule as [`DijkstraWorkspace::search_into`]: sources may
+    /// lie outside it, relaxations may not). Seed it with
     /// [`DijkstraWorkspace::field_add_sources`] and grow it with
     /// [`DijkstraWorkspace::field_next_into`]; any other query on this
     /// workspace ends the field.
@@ -1049,19 +634,8 @@ impl DijkstraWorkspace {
     /// sources and vertices already at distance 0 are skipped.
     pub fn field_add_sources(&mut self, graph: &HananGraph, sources: &[GridPoint]) {
         for &s in sources {
-            if graph.is_blocked(s) {
-                continue;
-            }
-            let idx = graph.index(s);
-            if self.fresh(idx) || self.dist[idx] > 0.0 {
-                self.stamp[idx] = self.epoch;
-                self.dist[idx] = 0.0;
-                self.prev[idx] = NO_PREV;
-                self.counters.bump(Counter::DijkstraPushes);
-                self.heap.push(Entry {
-                    cost: 0.0,
-                    idx: idx as u32,
-                });
+            if let Some(idx) = self.seed(graph, s) {
+                self.heap.push(Entry { cost: 0.0, idx });
                 self.field_origin.get_or_insert(s);
             }
         }
@@ -1071,17 +645,16 @@ impl DijkstraWorkspace {
     /// pops, writes the path from its source into `out` (cleared first)
     /// and returns its cost.
     ///
-    /// The result is bit-identical to
-    /// [`DijkstraWorkspace::shortest_path_to_set_into`] restarted from every
-    /// source added so far (DESIGN.md §12.6): pops follow the heap's
+    /// The result is bit-identical to a [`QueuePolicy::Heap`]
+    /// [`DijkstraWorkspace::search_into`] restarted from every source added
+    /// so far (DESIGN.md §12.6): pops follow the heap's
     /// `(cost, vertex index)` order, and a relaxation that ties the current
     /// label re-points `prev` when the relaxing vertex precedes the current
     /// predecessor in that order, so every `prev` is the first-popped tight
     /// neighbour a restarted search would record. The popped target is not
     /// relaxed; add it (with its path) as a source before the next call.
     ///
-    /// `adj` must be built for `graph` (see
-    /// [`GridAdjacency::ensure`](crate::csr::GridAdjacency::ensure)).
+    /// `adj` must be built for `graph` (see [`GridAdjacency::ensure`]).
     ///
     /// # Errors
     ///
@@ -1096,7 +669,7 @@ impl DijkstraWorkspace {
     pub fn field_next_into<F>(
         &mut self,
         graph: &HananGraph,
-        adj: &crate::csr::GridAdjacency,
+        adj: &GridAdjacency,
         is_target: F,
         out: &mut Vec<GridPoint>,
     ) -> Result<f64, GraphError>
@@ -1144,58 +717,39 @@ impl DijkstraWorkspace {
                 }
             }
         }
-        Err(GraphError::Unreachable {
-            from: origin,
-            to: None,
-        })
+        Err(GraphError::Unreachable { from: origin })
     }
 
-    /// Full single-source Dijkstra; returns the distance to every vertex
-    /// (`f64::INFINITY` where unreachable).
+    /// Full single-source Dijkstra: the [`QueuePolicy::Heap`] query run to
+    /// exhaustion (no vertex is a target). Returns the distance to every
+    /// vertex (`f64::INFINITY` where unreachable).
     ///
     /// # Errors
     ///
     /// [`GraphError::BlockedSource`] if the source vertex is blocked.
+    ///
+    /// # Panics
+    ///
+    /// Panics (on index out of range) if `adj` was built for a smaller
+    /// graph.
     pub fn distances_from(
         &mut self,
         graph: &HananGraph,
+        adj: &GridAdjacency,
         source: GridPoint,
     ) -> Result<Vec<f64>, GraphError> {
-        if graph.is_blocked(source) {
-            return Err(GraphError::BlockedSource(source));
-        }
-        self.prepare(graph.len());
-        let s = graph.index(source);
-        self.stamp[s] = self.epoch;
-        self.dist[s] = 0.0;
-        self.prev[s] = NO_PREV;
-        self.counters.bump(Counter::DijkstraPushes);
-        self.heap.push(Entry {
-            cost: 0.0,
-            idx: s as u32,
-        });
-        while let Some(Entry { cost, idx }) = self.heap.pop() {
-            let idx = idx as usize;
-            if cost > self.dist[idx] {
-                continue;
-            }
-            self.counters.bump(Counter::DijkstraPops);
-            let p = graph.point(idx);
-            for (q, w) in graph.neighbors(p) {
-                let qi = graph.index(q);
-                let nd = cost + w;
-                self.counters.bump(Counter::DijkstraRelaxations);
-                if self.fresh(qi) || nd < self.dist[qi] {
-                    self.stamp[qi] = self.epoch;
-                    self.dist[qi] = nd;
-                    self.prev[qi] = idx as u32;
-                    self.counters.bump(Counter::DijkstraPushes);
-                    self.heap.push(Entry {
-                        cost: nd,
-                        idx: qi as u32,
-                    });
-                }
-            }
+        let searched = self.search_into(
+            graph,
+            adj,
+            &[source],
+            |_| false,
+            None,
+            QueuePolicy::Heap,
+            &[],
+            &mut Vec::new(),
+        );
+        if let Err(e @ GraphError::BlockedSource(_)) = searched {
+            return Err(e);
         }
         Ok((0..graph.len())
             .map(|i| {
@@ -1224,83 +778,6 @@ impl DijkstraWorkspace {
     }
 }
 
-/// One-shot shortest path between two vertices.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path(
-    graph: &HananGraph,
-    from: GridPoint,
-    to: GridPoint,
-) -> Result<GridPath, GraphError> {
-    shortest_path_in(&mut DijkstraWorkspace::new(), graph, from, to)
-}
-
-/// Shortest path between two vertices using a caller-owned workspace.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_in(
-    ws: &mut DijkstraWorkspace,
-    graph: &HananGraph,
-    from: GridPoint,
-    to: GridPoint,
-) -> Result<GridPath, GraphError> {
-    let target_idx = graph.index(to);
-    ws.shortest_path_to_set(graph, &[from], |i| i == target_idx, None)
-        .map_err(|e| match e {
-            GraphError::Unreachable { from, .. } => GraphError::Unreachable { from, to: Some(to) },
-            other => other,
-        })
-}
-
-/// One-shot multi-source shortest path to a target set.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_to_set<F>(
-    graph: &HananGraph,
-    sources: &[GridPoint],
-    is_target: F,
-) -> Result<GridPath, GraphError>
-where
-    F: Fn(usize) -> bool,
-{
-    DijkstraWorkspace::new().shortest_path_to_set(graph, sources, is_target, None)
-}
-
-/// Multi-source shortest path to a target set using a caller-owned
-/// workspace (equivalent to
-/// [`DijkstraWorkspace::shortest_path_to_set`] without bounds; provided for
-/// symmetry with the other `_in` entry points).
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::shortest_path_to_set`].
-pub fn shortest_path_to_set_in<F>(
-    ws: &mut DijkstraWorkspace,
-    graph: &HananGraph,
-    sources: &[GridPoint],
-    is_target: F,
-) -> Result<GridPath, GraphError>
-where
-    F: Fn(usize) -> bool,
-{
-    ws.shortest_path_to_set(graph, sources, is_target, None)
-}
-
-/// One-shot full single-source distances.
-///
-/// # Errors
-///
-/// See [`DijkstraWorkspace::distances_from`].
-pub fn distances_from(graph: &HananGraph, source: GridPoint) -> Result<Vec<f64>, GraphError> {
-    DijkstraWorkspace::new().distances_from(graph, source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1309,28 +786,66 @@ mod tests {
         HananGraph::uniform(h, v, m, 1.0, 1.0, 3.0)
     }
 
+    /// One [`DijkstraWorkspace::search_into`] query from `sources` to the
+    /// single target `to`; returns the path and its cost.
+    fn query(
+        ws: &mut DijkstraWorkspace,
+        g: &HananGraph,
+        sources: &[GridPoint],
+        to: GridPoint,
+        bounds: Option<SearchBounds>,
+        policy: QueuePolicy,
+        hint: &[GridPoint],
+    ) -> Result<(Vec<GridPoint>, f64), GraphError> {
+        let mut adj = GridAdjacency::new();
+        adj.ensure(g);
+        let t = g.index(to);
+        let mut path = Vec::new();
+        let cost = ws.search_into(
+            g,
+            &adj,
+            sources,
+            |i| i == t,
+            bounds,
+            policy,
+            hint,
+            &mut path,
+        )?;
+        Ok((path, cost))
+    }
+
+    /// An unbounded heap query on a fresh workspace.
+    fn shortest(
+        g: &HananGraph,
+        from: GridPoint,
+        to: GridPoint,
+    ) -> Result<(Vec<GridPoint>, f64), GraphError> {
+        let mut ws = DijkstraWorkspace::new();
+        query(&mut ws, g, &[from], to, None, QueuePolicy::Heap, &[])
+    }
+
     #[test]
     fn straight_line_cost_is_manhattan() {
         let g = open_grid(5, 5, 1);
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 3, 0)).unwrap();
-        assert_eq!(p.cost, 7.0);
-        assert_eq!(p.source(), GridPoint::new(0, 0, 0));
-        assert_eq!(p.target(), GridPoint::new(4, 3, 0));
+        let (path, cost) = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 3, 0)).unwrap();
+        assert_eq!(cost, 7.0);
+        assert_eq!(path[0], GridPoint::new(0, 0, 0));
+        assert_eq!(path[path.len() - 1], GridPoint::new(4, 3, 0));
         // Consecutive points are neighbors.
-        for (a, b) in p.edges() {
-            assert_eq!(a.grid_distance(b), 1);
+        for w in path.windows(2) {
+            assert_eq!(w[0].grid_distance(w[1]), 1);
         }
     }
 
     #[test]
     fn path_cost_equals_sum_of_edge_costs() {
         let g = HananGraph::with_costs(4, 3, 2, vec![2.0, 5.0, 1.0], vec![4.0, 4.0], 3.0).unwrap();
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(3, 2, 1)).unwrap();
-        let sum: f64 = p
-            .edges()
-            .map(|(a, b)| g.edge_cost(a, b).expect("path edges are grid edges"))
+        let (path, cost) = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(3, 2, 1)).unwrap();
+        let sum: f64 = path
+            .windows(2)
+            .map(|w| g.edge_cost(w[0], w[1]).expect("path edges are grid edges"))
             .sum();
-        assert!((p.cost - sum).abs() < 1e-9);
+        assert!((cost - sum).abs() < 1e-9);
     }
 
     #[test]
@@ -1340,11 +855,10 @@ mod tests {
         for v in 0..4 {
             g.add_obstacle_vertex(GridPoint::new(2, v, 0)).unwrap();
         }
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 0, 0)).unwrap();
-        // Must go up to row 4, across, and back down: 4 + 4 + 4 + ... check
-        // exact: up 4, right 4, down 4 = 12.
-        assert_eq!(p.cost, 12.0);
-        assert!(p.points.iter().all(|&q| !g.is_blocked(q)));
+        let (path, cost) = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(4, 0, 0)).unwrap();
+        // Up 4, right 4, down 4 = 12.
+        assert_eq!(cost, 12.0);
+        assert!(path.iter().all(|&q| !g.is_blocked(q)));
     }
 
     #[test]
@@ -1352,9 +866,9 @@ mod tests {
         // Fully blocked layer 0 except endpoints: path must via up and back.
         let mut g = open_grid(3, 1, 2);
         g.add_obstacle_vertex(GridPoint::new(1, 0, 0)).unwrap();
-        let p = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 0, 0)).unwrap();
+        let (_, cost) = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 0, 0)).unwrap();
         // via(3) + 2 horizontal + via(3) = 8.
-        assert_eq!(p.cost, 8.0);
+        assert_eq!(cost, 8.0);
     }
 
     #[test]
@@ -1364,43 +878,63 @@ mod tests {
         for v in 0..3 {
             g.add_obstacle_vertex(GridPoint::new(1, v, 0)).unwrap();
         }
-        let err = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
-        assert!(matches!(err, GraphError::Unreachable { .. }));
+        let err = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::Unreachable {
+                from: GridPoint::new(0, 0, 0)
+            }
+        );
     }
 
     #[test]
     fn blocked_source_is_an_error() {
         let mut g = open_grid(3, 3, 1);
         g.add_obstacle_vertex(GridPoint::new(0, 0, 0)).unwrap();
-        let err = shortest_path(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
+        let err = shortest(&g, GridPoint::new(0, 0, 0), GridPoint::new(2, 2, 0)).unwrap_err();
         assert_eq!(err, GraphError::BlockedSource(GridPoint::new(0, 0, 0)));
     }
 
     #[test]
     fn empty_sources_is_an_error() {
         let g = open_grid(3, 3, 1);
-        let err = shortest_path_to_set(&g, &[], |_| true).unwrap_err();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(&g);
+        let mut out = vec![GridPoint::new(0, 0, 0)];
+        let err = DijkstraWorkspace::new()
+            .search_into(
+                &g,
+                &adj,
+                &[],
+                |_| true,
+                None,
+                QueuePolicy::Auto,
+                &[],
+                &mut out,
+            )
+            .unwrap_err();
         assert_eq!(err, GraphError::EmptyTerminalSet);
+        assert!(out.is_empty(), "out is cleared on error");
     }
 
     #[test]
     fn multi_source_picks_nearest_source() {
         let g = open_grid(10, 1, 1);
         let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 0, 0)];
-        let target = g.index(GridPoint::new(6, 0, 0));
-        let p = shortest_path_to_set(&g, &sources, |i| i == target).unwrap();
-        assert_eq!(p.cost, 2.0);
-        assert_eq!(p.source(), GridPoint::new(8, 0, 0));
+        let mut ws = DijkstraWorkspace::new();
+        let to = GridPoint::new(6, 0, 0);
+        let (path, cost) = query(&mut ws, &g, &sources, to, None, QueuePolicy::Heap, &[]).unwrap();
+        assert_eq!(cost, 2.0);
+        assert_eq!(path[0], GridPoint::new(8, 0, 0));
     }
 
     #[test]
     fn source_in_target_set_gives_trivial_path() {
         let g = open_grid(3, 3, 1);
         let s = GridPoint::new(1, 1, 0);
-        let si = g.index(s);
-        let p = shortest_path_to_set(&g, &[s], |i| i == si).unwrap();
-        assert_eq!(p.cost, 0.0);
-        assert_eq!(p.points, vec![s]);
+        let (path, cost) = shortest(&g, s, s).unwrap();
+        assert_eq!(cost, 0.0);
+        assert_eq!(path, vec![s]);
     }
 
     #[test]
@@ -1408,20 +942,27 @@ mod tests {
         let mut g = open_grid(6, 6, 2);
         g.add_obstacle_vertex(GridPoint::new(2, 2, 0)).unwrap();
         g.add_obstacle_vertex(GridPoint::new(3, 2, 0)).unwrap();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(&g);
         let src = GridPoint::new(0, 0, 0);
-        let dist = distances_from(&g, src).unwrap();
+        let dist = DijkstraWorkspace::new()
+            .distances_from(&g, &adj, src)
+            .unwrap();
         for idx in (0..g.len()).step_by(7) {
             let p = g.point(idx);
             if g.is_blocked(p) {
                 assert!(dist[idx].is_infinite());
                 continue;
             }
-            let path = shortest_path(&g, src, p).unwrap();
-            assert!(
-                (dist[idx] - path.cost).abs() < 1e-9,
-                "distance mismatch at {p}"
-            );
+            let (_, cost) = shortest(&g, src, p).unwrap();
+            assert!((dist[idx] - cost).abs() < 1e-9, "distance mismatch at {p}");
         }
+        g.add_obstacle_vertex(src).unwrap();
+        adj.ensure(&g);
+        assert_eq!(
+            DijkstraWorkspace::new().distances_from(&g, &adj, src),
+            Err(GraphError::BlockedSource(src))
+        );
     }
 
     #[test]
@@ -1433,16 +974,41 @@ mod tests {
             v_lo: 0,
             v_hi: 4,
         };
-        let target = g.index(GridPoint::new(9, 9, 0));
-        let err = SearchSpace::new()
-            .shortest_path_to_set(
-                &g,
-                &[GridPoint::new(0, 0, 0)],
-                |i| i == target,
-                Some(bounds),
-            )
-            .unwrap_err();
-        assert!(matches!(err, GraphError::Unreachable { .. }));
+        let to = GridPoint::new(9, 9, 0);
+        for policy in [QueuePolicy::Heap, QueuePolicy::Dial, QueuePolicy::AStar] {
+            let mut ws = DijkstraWorkspace::new();
+            let src = [GridPoint::new(0, 0, 0)];
+            let err = query(&mut ws, &g, &src, to, Some(bounds), policy, &[to]).unwrap_err();
+            assert!(matches!(err, GraphError::Unreachable { .. }), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn window_admits_outside_sources_but_no_outside_relaxation() {
+        let g = open_grid(8, 3, 1);
+        let window = SearchBounds {
+            h_lo: 2,
+            h_hi: 5,
+            v_lo: 0,
+            v_hi: 2,
+        };
+        let src = [GridPoint::new(1, 0, 0)];
+        for policy in [QueuePolicy::Heap, QueuePolicy::Dial, QueuePolicy::AStar] {
+            let mut ws = DijkstraWorkspace::new();
+            // The source sits left of the window; its first step enters it.
+            let inside = GridPoint::new(5, 2, 0);
+            let (path, cost) =
+                query(&mut ws, &g, &src, inside, Some(window), policy, &[inside]).unwrap();
+            assert_eq!(cost, 6.0, "{policy:?}");
+            assert!(path[1..].iter().all(|&p| window.contains(p)));
+            // A target right of the window is never relaxed into.
+            let outside = GridPoint::new(6, 0, 0);
+            let err = query(&mut ws, &g, &src, outside, Some(window), policy, &[outside]);
+            assert!(
+                matches!(err, Err(GraphError::Unreachable { .. })),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]
@@ -1454,44 +1020,17 @@ mod tests {
     }
 
     #[test]
-    fn csr_search_is_bit_identical_to_point_based_search() {
-        let mut g = open_grid(9, 7, 2);
-        for &(h, v, m) in &[(2, 0, 0), (2, 1, 0), (2, 2, 0), (5, 4, 1), (6, 4, 1)] {
-            g.add_obstacle_vertex(GridPoint::new(h, v, m)).unwrap();
-        }
-        let mut adj = crate::csr::GridAdjacency::new();
-        adj.ensure(&g);
-        let mut ws = DijkstraWorkspace::new();
-        let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 6, 1)];
-        // Exercise several targets, interleaving the two methods on the
-        // same workspace so epoch reuse is covered too.
-        for target in [(4, 3, 0), (2, 6, 1), (7, 0, 0)] {
-            let t = g.index(GridPoint::new(target.0, target.1, target.2));
-            let a = ws
-                .shortest_path_to_set(&g, &sources, |i| i == t, None)
-                .unwrap();
-            let b = ws
-                .shortest_path_to_set_csr(&g, &adj, &sources, |i| i == t)
-                .unwrap();
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.points, b.points);
-        }
-    }
-
-    #[test]
     fn counters_track_pops_relaxations_and_pushes() {
         let g = open_grid(6, 6, 1);
         let mut ws = DijkstraWorkspace::new();
-        let t = g.index(GridPoint::new(5, 5, 0));
-        ws.shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t, None)
-            .unwrap();
+        let (src, to) = ([GridPoint::new(0, 0, 0)], GridPoint::new(5, 5, 0));
+        query(&mut ws, &g, &src, to, None, QueuePolicy::Heap, &[]).unwrap();
         let after = ws.counters;
         assert!(after.get(Counter::DijkstraPops) > 0);
         assert!(after.get(Counter::DijkstraRelaxations) >= after.get(Counter::DijkstraPops));
         assert!(after.get(Counter::DijkstraPushes) > 0);
         // A second identical query adds an identical delta.
-        ws.shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t, None)
-            .unwrap();
+        query(&mut ws, &g, &src, to, None, QueuePolicy::Heap, &[]).unwrap();
         let d = ws.counters.delta_since(&after);
         assert_eq!(
             d.get(Counter::DijkstraPops),
@@ -1524,17 +1063,13 @@ mod tests {
         let mut heap_ws = DijkstraWorkspace::new();
         let mut dial_ws = DijkstraWorkspace::new();
         for target in [(4, 3, 0), (2, 6, 1), (7, 0, 0), (0, 6, 0)] {
-            let t = g.index(GridPoint::new(target.0, target.1, target.2));
+            let to = GridPoint::new(target.0, target.1, target.2);
             let before_heap = heap_ws.counters;
             let before_dial = dial_ws.counters;
-            let a = heap_ws
-                .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, QueuePolicy::Heap, &[])
-                .unwrap();
-            let b = dial_ws
-                .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, QueuePolicy::Dial, &[])
-                .unwrap();
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.points, b.points);
+            let a = query(&mut heap_ws, &g, &sources, to, None, QueuePolicy::Heap, &[]).unwrap();
+            let b = query(&mut dial_ws, &g, &sources, to, None, QueuePolicy::Dial, &[]).unwrap();
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
+            assert_eq!(a.0, b.0);
             // The op counters are acceptance targets: pops, relaxations,
             // and pushes must match the oracle exactly.
             let dh = heap_ws.counters.delta_since(&before_heap);
@@ -1555,20 +1090,10 @@ mod tests {
         let g = costed_grid();
         assert!(g.integer_cost_ceiling().is_some());
         let mut ws = DijkstraWorkspace::new();
-        let t = g.index(GridPoint::new(7, 0, 0));
-        let before = ws.counters;
-        ws.shortest_path_to_set_policy(
-            &g,
-            &[GridPoint::new(0, 0, 0)],
-            |i| i == t,
-            None,
-            QueuePolicy::Auto,
-            &[],
-        )
-        .unwrap();
+        let (src, to) = ([GridPoint::new(0, 0, 0)], GridPoint::new(7, 0, 0));
+        query(&mut ws, &g, &src, to, None, QueuePolicy::Auto, &[]).unwrap();
         // The Dial path is the only one that can advance the cursor.
-        let d = ws.counters.delta_since(&before);
-        assert!(d.get(Counter::DijkstraBucketScans) > 0);
+        assert!(ws.counters.get(Counter::DijkstraBucketScans) > 0);
     }
 
     #[test]
@@ -1577,50 +1102,14 @@ mod tests {
             HananGraph::with_costs(4, 4, 1, vec![1.5, 2.0, 1.0], vec![1.0, 2.5, 1.0], 3.0).unwrap();
         assert_eq!(g.integer_cost_ceiling(), None);
         let mut ws = DijkstraWorkspace::new();
-        let t = g.index(GridPoint::new(3, 3, 0));
-        let before = ws.counters;
-        let p = ws
-            .shortest_path_to_set_policy(
-                &g,
-                &[GridPoint::new(0, 0, 0)],
-                |i| i == t,
-                None,
-                QueuePolicy::Dial,
-                &[],
-            )
-            .unwrap();
-        assert_eq!(p.cost, 1.5 + 2.0 + 1.0 + 1.0 + 2.5 + 1.0);
-        let d = ws.counters.delta_since(&before);
-        assert_eq!(d.get(Counter::DijkstraBucketScans), 0, "fallback used heap");
-    }
-
-    #[test]
-    fn csr_policy_matches_point_policy_for_all_policies() {
-        let g = costed_grid();
-        let mut adj = crate::csr::GridAdjacency::new();
-        adj.ensure(&g);
-        let sources = [GridPoint::new(0, 0, 0), GridPoint::new(8, 6, 1)];
-        let mut ws = DijkstraWorkspace::new();
-        for target in [(4, 3, 0), (2, 6, 1)] {
-            let tp = GridPoint::new(target.0, target.1, target.2);
-            let t = g.index(tp);
-            let hint = [tp];
-            for policy in [
-                QueuePolicy::Auto,
-                QueuePolicy::Heap,
-                QueuePolicy::Dial,
-                QueuePolicy::AStar,
-            ] {
-                let a = ws
-                    .shortest_path_to_set_policy(&g, &sources, |i| i == t, None, policy, &hint)
-                    .unwrap();
-                let b = ws
-                    .shortest_path_to_set_csr_policy(&g, &adj, &sources, |i| i == t, policy, &hint)
-                    .unwrap();
-                assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{policy:?}");
-                assert_eq!(a.points, b.points, "{policy:?}");
-            }
-        }
+        let (src, to) = ([GridPoint::new(0, 0, 0)], GridPoint::new(3, 3, 0));
+        let (_, cost) = query(&mut ws, &g, &src, to, None, QueuePolicy::Dial, &[]).unwrap();
+        assert_eq!(cost, 1.5 + 2.0 + 1.0 + 1.0 + 2.5 + 1.0);
+        assert_eq!(
+            ws.counters.get(Counter::DijkstraBucketScans),
+            0,
+            "fallback used heap"
+        );
     }
 
     #[test]
@@ -1630,30 +1119,25 @@ mod tests {
         let src = [GridPoint::new(0, 0, 0)];
         for target in [(8, 6, 1), (4, 3, 0), (7, 0, 0)] {
             let tp = GridPoint::new(target.0, target.1, target.2);
-            let t = g.index(tp);
             let before = ws.counters;
-            let oracle = ws
-                .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])
-                .unwrap();
+            let oracle = query(&mut ws, &g, &src, tp, None, QueuePolicy::Heap, &[]).unwrap();
             let heap_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
             let before = ws.counters;
-            let astar = ws
-                .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::AStar, &[tp])
-                .unwrap();
+            let astar = query(&mut ws, &g, &src, tp, None, QueuePolicy::AStar, &[tp]).unwrap();
             let astar_pops = ws.counters.delta_since(&before).get(Counter::DijkstraPops);
             // Same cost bits (§12.4); the geometry may legally differ.
-            assert_eq!(oracle.cost.to_bits(), astar.cost.to_bits());
+            assert_eq!(oracle.1.to_bits(), astar.1.to_bits());
             assert!(
                 astar_pops <= heap_pops,
                 "A* popped {astar_pops} > oracle {heap_pops} for {target:?}"
             );
             // The A* path is still a valid grid path of the same cost.
             let sum: f64 = astar
-                .points
+                .0
                 .windows(2)
                 .map(|w| g.edge_cost(w[0], w[1]).expect("grid edge"))
                 .sum();
-            assert_eq!(sum.to_bits(), astar.cost.to_bits());
+            assert_eq!(sum.to_bits(), astar.1.to_bits());
         }
     }
 
@@ -1661,39 +1145,11 @@ mod tests {
     fn astar_without_hint_falls_back_to_dial() {
         let g = costed_grid();
         let mut ws = DijkstraWorkspace::new();
-        let t = g.index(GridPoint::new(7, 0, 0));
-        let src = [GridPoint::new(0, 0, 0)];
-        let a = ws
-            .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::AStar, &[])
-            .unwrap();
-        let b = ws
-            .shortest_path_to_set_policy(&g, &src, |i| i == t, None, QueuePolicy::Heap, &[])
-            .unwrap();
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.points, b.points, "hint-less AStar must act as Dial");
-    }
-
-    #[test]
-    fn dial_respects_search_bounds() {
-        let g = open_grid(10, 10, 1);
-        let bounds = SearchBounds {
-            h_lo: 0,
-            h_hi: 4,
-            v_lo: 0,
-            v_hi: 4,
-        };
-        let target = g.index(GridPoint::new(9, 9, 0));
-        let err = DijkstraWorkspace::new()
-            .shortest_path_to_set_policy(
-                &g,
-                &[GridPoint::new(0, 0, 0)],
-                |i| i == target,
-                Some(bounds),
-                QueuePolicy::Dial,
-                &[],
-            )
-            .unwrap_err();
-        assert!(matches!(err, GraphError::Unreachable { .. }));
+        let (src, to) = ([GridPoint::new(0, 0, 0)], GridPoint::new(7, 0, 0));
+        let a = query(&mut ws, &g, &src, to, None, QueuePolicy::AStar, &[]).unwrap();
+        let b = query(&mut ws, &g, &src, to, None, QueuePolicy::Heap, &[]).unwrap();
+        assert_eq!(a.1.to_bits(), b.1.to_bits());
+        assert_eq!(a.0, b.0, "hint-less AStar must act as Dial");
     }
 
     #[test]
@@ -1704,7 +1160,7 @@ mod tests {
         for &(h, v, m) in &[(3, 1, 0), (3, 2, 0), (3, 3, 0), (5, 5, 1), (6, 5, 1)] {
             g.add_obstacle_vertex(GridPoint::new(h, v, m)).unwrap();
         }
-        let mut adj = crate::csr::GridAdjacency::new();
+        let mut adj = GridAdjacency::new();
         adj.ensure(&g);
         let terminals = [(8, 7, 1), (0, 7, 0), (8, 0, 0), (4, 4, 1), (2, 6, 0)]
             .map(|(h, v, m)| g.index(GridPoint::new(h, v, m)));
@@ -1720,11 +1176,14 @@ mod tests {
             field.field_add_sources(&g, &sources);
             let (mut a, mut b) = (Vec::new(), Vec::new());
             loop {
-                let want = restart.shortest_path_to_set_into(
+                let want = restart.search_into(
                     &g,
+                    &adj,
                     &sources,
                     |i| left.contains(&i),
                     bounds,
+                    QueuePolicy::Heap,
+                    &[],
                     &mut a,
                 );
                 let got = field.field_next_into(&g, &adj, |i| left.contains(&i), &mut b);
@@ -1747,24 +1206,18 @@ mod tests {
     }
 
     #[test]
-    fn search_space_reuse_is_consistent() {
+    fn workspace_reuse_is_consistent() {
         let g = open_grid(8, 8, 2);
-        let mut space = SearchSpace::new();
-        let t1 = g.index(GridPoint::new(7, 7, 1));
-        let t2 = g.index(GridPoint::new(3, 0, 0));
-        let a = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t1, None)
-            .unwrap();
-        let b = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t2, None)
-            .unwrap();
+        let mut ws = DijkstraWorkspace::new();
+        let src = [GridPoint::new(0, 0, 0)];
+        let (t1, t2) = (GridPoint::new(7, 7, 1), GridPoint::new(3, 0, 0));
+        let a = query(&mut ws, &g, &src, t1, None, QueuePolicy::Heap, &[]).unwrap();
+        let b = query(&mut ws, &g, &src, t2, None, QueuePolicy::Heap, &[]).unwrap();
         // 7 + 7 + via(3) and 3.
-        assert_eq!(a.cost, 17.0);
-        assert_eq!(b.cost, 3.0);
+        assert_eq!(a.1, 17.0);
+        assert_eq!(b.1, 3.0);
         // And again the first query, identically.
-        let a2 = space
-            .shortest_path_to_set(&g, &[GridPoint::new(0, 0, 0)], |i| i == t1, None)
-            .unwrap();
-        assert_eq!(a2.cost, a.cost);
+        let a2 = query(&mut ws, &g, &src, t1, None, QueuePolicy::Heap, &[]).unwrap();
+        assert_eq!(a2, a);
     }
 }

@@ -9,12 +9,10 @@ use oarsmt_geom::GridPoint;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GraphError {
-    /// No obstacle-avoiding path exists between the requested endpoints.
+    /// No obstacle-avoiding path leads from the sources to any target.
     Unreachable {
         /// The search origin (one representative source).
         from: GridPoint,
-        /// The unreachable target, if a single one was requested.
-        to: Option<GridPoint>,
     },
     /// A search was started from a blocked (obstacle) vertex.
     BlockedSource(GridPoint),
@@ -25,10 +23,7 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::Unreachable { from, to: Some(to) } => {
-                write!(f, "no obstacle-avoiding path from {from} to {to}")
-            }
-            GraphError::Unreachable { from, to: None } => {
+            GraphError::Unreachable { from } => {
                 write!(f, "no obstacle-avoiding path from {from} to any target")
             }
             GraphError::BlockedSource(p) => {
@@ -49,7 +44,6 @@ mod tests {
     fn display_messages_are_informative() {
         let e = GraphError::Unreachable {
             from: GridPoint::new(0, 0, 0),
-            to: Some(GridPoint::new(1, 1, 0)),
         };
         assert!(e.to_string().contains("no obstacle-avoiding path"));
         assert!(GraphError::EmptyTerminalSet.to_string().contains("empty"));

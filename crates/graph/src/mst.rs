@@ -77,7 +77,6 @@ pub fn prim_mst(dist: &[f64], n: usize) -> Result<Vec<MstEdge>, GraphError> {
         let Some(j) = pick else {
             return Err(GraphError::Unreachable {
                 from: oarsmt_geom::GridPoint::new(0, 0, 0),
-                to: None,
             });
         };
         in_tree[j] = true;

@@ -2,9 +2,10 @@
 
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph};
-use oarsmt_graph::dijkstra::{distances_from, shortest_path, SearchSpace};
+use oarsmt_graph::dijkstra::{DijkstraWorkspace, QueuePolicy, SearchBounds};
 use oarsmt_graph::mst::{mst_cost, prim_mst};
-use oarsmt_graph::UnionFind;
+use oarsmt_graph::{GraphError, GridAdjacency, UnionFind};
+use oarsmt_telemetry::{Counter, CounterSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +27,80 @@ fn random_free_point(graph: &HananGraph, rng: &mut StdRng) -> GridPoint {
     }
 }
 
+fn adjacency(graph: &HananGraph) -> GridAdjacency {
+    let mut adj = GridAdjacency::new();
+    adj.ensure(graph);
+    adj
+}
+
+/// A random grid window; it may exclude the source, the target or both.
+fn random_window(graph: &HananGraph, rng: &mut StdRng) -> SearchBounds {
+    let h_lo = rng.gen_range(0..graph.h());
+    let v_lo = rng.gen_range(0..graph.v());
+    SearchBounds {
+        h_lo,
+        h_hi: rng.gen_range(h_lo..graph.h()),
+        v_lo,
+        v_hi: rng.gen_range(v_lo..graph.v()),
+    }
+}
+
+/// Path, cost and op-counter delta of one query from `a` to `b` (the
+/// target itself is the A* hint).
+type Found = (Result<(Vec<GridPoint>, f64), GraphError>, CounterSet);
+
+fn search(
+    ws: &mut DijkstraWorkspace,
+    graph: &HananGraph,
+    adj: &GridAdjacency,
+    (a, b): (GridPoint, GridPoint),
+    bounds: Option<SearchBounds>,
+    policy: QueuePolicy,
+) -> Found {
+    let before = ws.counters;
+    let target = graph.index(b);
+    let mut path = Vec::new();
+    let cost = ws.search_into(
+        graph,
+        adj,
+        &[a],
+        |i| i == target,
+        bounds,
+        policy,
+        &[b],
+        &mut path,
+    );
+    (cost.map(|c| (path, c)), ws.counters.delta_since(&before))
+}
+
+/// An unbounded heap query on a fresh workspace.
+fn shortest(
+    graph: &HananGraph,
+    adj: &GridAdjacency,
+    a: GridPoint,
+    b: GridPoint,
+) -> Result<(Vec<GridPoint>, f64), GraphError> {
+    let mut ws = DijkstraWorkspace::new();
+    search(&mut ws, graph, adj, (a, b), None, QueuePolicy::Heap).0
+}
+
+const POLICIES: [QueuePolicy; 4] = [
+    QueuePolicy::Auto,
+    QueuePolicy::Heap,
+    QueuePolicy::Dial,
+    QueuePolicy::AStar,
+];
+
+const WORK: [Counter; 3] = [
+    Counter::DijkstraPops,
+    Counter::DijkstraRelaxations,
+    Counter::DijkstraPushes,
+];
+
+fn cost_bits(r: &Result<(Vec<GridPoint>, f64), GraphError>) -> Result<u64, GraphError> {
+    r.as_ref().map(|(_, c)| c.to_bits()).map_err(|e| e.clone())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -36,8 +111,10 @@ proptest! {
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
         let c = random_free_point(&g, &mut rng);
-        let da = distances_from(&g, a).unwrap();
-        let db = distances_from(&g, b).unwrap();
+        let adj = adjacency(&g);
+        let mut ws = DijkstraWorkspace::new();
+        let da = ws.distances_from(&g, &adj, a).unwrap();
+        let db = ws.distances_from(&g, &adj, b).unwrap();
         let ab = da[g.index(b)];
         let bc = db[g.index(c)];
         let ac = da[g.index(c)];
@@ -52,8 +129,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 7);
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
-        match (shortest_path(&g, a, b), shortest_path(&g, b, a)) {
-            (Ok(p1), Ok(p2)) => prop_assert!((p1.cost - p2.cost).abs() < 1e-9),
+        let adj = adjacency(&g);
+        match (shortest(&g, &adj, a, b), shortest(&g, &adj, b, a)) {
+            (Ok(p1), Ok(p2)) => prop_assert!((p1.1 - p2.1).abs() < 1e-9),
             (Err(_), Err(_)) => {}
             _ => prop_assert!(false, "reachability must be symmetric"),
         }
@@ -65,32 +143,52 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 13);
         let a = random_free_point(&g, &mut rng);
         let b = random_free_point(&g, &mut rng);
-        if let Ok(path) = shortest_path(&g, a, b) {
+        if let Ok((path, cost)) = shortest(&g, &adjacency(&g), a, b) {
             let mut sum = 0.0;
-            for (u, v) in path.edges() {
-                let w = g.edge_cost(u, v);
-                prop_assert!(w.is_some(), "consecutive points must be neighbors");
-                sum += w.unwrap();
+            for w in path.windows(2) {
+                let c = g.edge_cost(w[0], w[1]);
+                prop_assert!(c.is_some(), "consecutive points must be neighbors");
+                sum += c.unwrap();
             }
-            prop_assert!((sum - path.cost).abs() < 1e-9);
+            prop_assert!((sum - cost).abs() < 1e-9);
         }
     }
 
+    /// A reused workspace answers every query exactly like a fresh one,
+    /// under every policy, unbounded and inside a random window (which may
+    /// exclude the source or the target). Across policies, Dial (and Auto,
+    /// which resolves to it on these integer costs) matches the heap oracle
+    /// in path, cost bits and pop/relaxation/push counts; A* matches its
+    /// cost bits (DESIGN.md §12.3, §12.4).
     #[test]
-    fn reused_search_space_matches_fresh_searches(seed in 0u64..400) {
+    fn reused_workspace_matches_fresh_searches(seed in 0u64..400) {
         let g = random_case(seed);
+        let adj = adjacency(&g);
         let mut rng = StdRng::seed_from_u64(seed ^ 21);
-        let mut space = SearchSpace::new();
+        let mut reused = POLICIES.map(|_| DijkstraWorkspace::new());
         for _ in 0..4 {
-            let a = random_free_point(&g, &mut rng);
-            let b = random_free_point(&g, &mut rng);
-            let target = g.index(b);
-            let reused = space.shortest_path_to_set(&g, &[a], |i| i == target, None);
-            let fresh = shortest_path(&g, a, b);
-            match (reused, fresh) {
-                (Ok(p1), Ok(p2)) => prop_assert!((p1.cost - p2.cost).abs() < 1e-9),
-                (Err(_), Err(_)) => {}
-                _ => prop_assert!(false, "reuse must not change reachability"),
+            let ends = (random_free_point(&g, &mut rng), random_free_point(&g, &mut rng));
+            for bounds in [None, Some(random_window(&g, &mut rng))] {
+                let mut found = Vec::new();
+                for (ws, policy) in reused.iter_mut().zip(POLICIES) {
+                    let warm = search(ws, &g, &adj, ends, bounds, policy);
+                    let fresh = search(&mut DijkstraWorkspace::new(), &g, &adj, ends, bounds, policy);
+                    prop_assert_eq!(&warm.0, &fresh.0, "{:?} {:?}", policy, bounds);
+                    prop_assert_eq!(cost_bits(&warm.0), cost_bits(&fresh.0));
+                    for c in WORK {
+                        prop_assert_eq!(warm.1.get(c), fresh.1.get(c), "{:?} {:?}", policy, c);
+                    }
+                    found.push(warm);
+                }
+                let [auto, heap, dial, astar] = &found[..] else { unreachable!() };
+                for tested in [auto, dial] {
+                    prop_assert_eq!(&tested.0, &heap.0, "{:?}", bounds);
+                    prop_assert_eq!(cost_bits(&tested.0), cost_bits(&heap.0));
+                    for c in WORK {
+                        prop_assert_eq!(tested.1.get(c), heap.1.get(c), "{:?} {:?}", c, bounds);
+                    }
+                }
+                prop_assert_eq!(cost_bits(&astar.0), cost_bits(&heap.0), "{:?}", bounds);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Dynamic counterpart of the static D2 zero-alloc rule: a counting
 //! `#[global_allocator]` proves the registered hot paths (`route_in`,
-//! `route_cost_in`, `predict_with_fsp_in`, the batched
-//! `fsp_batch_into_ws` flush) perform
+//! `route_cost_in`, the per-query `search_into`, `predict_with_fsp_in`,
+//! the batched `fsp_batch_into_ws` flush) perform
 //! **zero** heap allocations in steady state,
 //! and that `search_in` reaches a stable per-call allocation count
 //! (its [`SearchOutcome`] owns freshly allocated label/counter vectors, so
@@ -25,6 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use oarsmt::selector::{MedianHeuristicSelector, NeuralSelector, Selector, UniformSelector};
 use oarsmt_geom::{GridPoint, HananGraph};
+use oarsmt_graph::dijkstra::SearchBounds;
+use oarsmt_graph::{DijkstraWorkspace, GridAdjacency, QueuePolicy};
 use oarsmt_mcts::{CombinatorialMcts, Critic, MctsConfig};
 use oarsmt_nn::NnWorkspace;
 use oarsmt_router::{OarmstRouter, RouteContext};
@@ -164,6 +166,49 @@ fn hot_paths_are_allocation_free_in_steady_state() {
         });
         assert_eq!(n, 0, "route_cost_in allocated {n} times in steady state");
         assert_eq!(steady, warm, "steady-state route_cost_in result drifted");
+    }
+
+    // --- search_into, the one per-query maze search (polish reroutes, A*
+    // build steps): heap, Dial and A* loops, unbounded and inside a window
+    // that excludes one source, allocate nothing once the workspace and
+    // the path buffer are warm. ---
+    let mut adj = GridAdjacency::new();
+    adj.ensure(&g);
+    let mut space = DijkstraWorkspace::new();
+    let mut path = Vec::new();
+    let sources = [GridPoint::new(0, 0, 0), GridPoint::new(0, 5, 1)];
+    let to = GridPoint::new(5, 5, 0);
+    let t = g.index(to);
+    let window = SearchBounds {
+        h_lo: 0,
+        h_hi: 5,
+        v_lo: 1,
+        v_hi: 5,
+    };
+    for policy in [QueuePolicy::Heap, QueuePolicy::Dial, QueuePolicy::AStar] {
+        for bounds in [None, Some(window)] {
+            let mut query = || {
+                space
+                    .search_into(
+                        &g,
+                        &adj,
+                        &sources,
+                        |i| i == t,
+                        bounds,
+                        policy,
+                        &[to],
+                        &mut path,
+                    )
+                    .unwrap()
+            };
+            let warm = (0..3).map(|_| query()).last();
+            let (n, steady) = allocs_during(|| (0..8).map(|_| query()).last());
+            assert_eq!(
+                n, 0,
+                "{policy:?} search_into ({bounds:?}) allocated {n} times"
+            );
+            assert_eq!(steady, warm, "steady-state {policy:?} search drifted");
+        }
     }
 
     // --- route_in under QueuePolicy::AStar: the f = g + h heap search and

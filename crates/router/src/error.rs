@@ -54,7 +54,7 @@ impl From<GraphError> for RouteError {
     fn from(e: GraphError) -> Self {
         match e {
             GraphError::BlockedSource(p) => RouteError::BlockedTerminal(p),
-            GraphError::Unreachable { from, .. } => RouteError::Disconnected { reached: from },
+            GraphError::Unreachable { from } => RouteError::Disconnected { reached: from },
             other => RouteError::Search(other),
         }
     }
@@ -72,7 +72,7 @@ mod tests {
             RouteError::BlockedTerminal(p)
         );
         assert_eq!(
-            RouteError::from(GraphError::Unreachable { from: p, to: None }),
+            RouteError::from(GraphError::Unreachable { from: p }),
             RouteError::Disconnected { reached: p }
         );
         assert_eq!(

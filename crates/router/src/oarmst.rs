@@ -409,8 +409,8 @@ impl OarmstRouter {
 }
 
 /// One per-step A* Prim query from the whole current tree to the nearest
-/// unconnected terminal, writing the path into `ctx.path_buf`: the CSR
-/// search when unbounded, the point-based one inside `bounds`.
+/// unconnected terminal, optionally inside `bounds`, writing the path into
+/// `ctx.path_buf`.
 fn astar_step_in(
     ctx: &mut RouteContext,
     graph: &HananGraph,
@@ -425,26 +425,16 @@ fn astar_step_in(
             ctx.unconnected_points.push(t);
         }
     }
-    match bounds {
-        None => ctx.space.shortest_path_to_set_csr_policy_into(
-            graph,
-            &ctx.adj,
-            &ctx.tree_vertices,
-            |i| ctx.unconnected.contains(i),
-            QueuePolicy::AStar,
-            &ctx.unconnected_points,
-            &mut ctx.path_buf,
-        ),
-        Some(_) => ctx.space.shortest_path_to_set_policy_into(
-            graph,
-            &ctx.tree_vertices,
-            |i| ctx.unconnected.contains(i),
-            bounds,
-            QueuePolicy::AStar,
-            &ctx.unconnected_points,
-            &mut ctx.path_buf,
-        ),
-    }
+    ctx.space.search_into(
+        graph,
+        &ctx.adj,
+        &ctx.tree_vertices,
+        |i| ctx.unconnected.contains(i),
+        bounds,
+        QueuePolicy::AStar,
+        &ctx.unconnected_points,
+        &mut ctx.path_buf,
+    )
 }
 
 /// Drops candidates that are out of bounds, blocked, or duplicate a

@@ -139,11 +139,12 @@ fn reroute_with_adj(
     }
     let target = graph.index(terminal);
     // Single-target reroute: the terminal itself is the exact A* hint.
-    if let Err(e) = ctx.space.shortest_path_to_set_csr_policy_into(
+    if let Err(e) = ctx.space.search_into(
         graph,
         &ctx.adj,
         &ctx.tree_vertices,
         |i| i == target,
+        None,
         policy,
         std::slice::from_ref(&terminal),
         &mut ctx.path_buf,

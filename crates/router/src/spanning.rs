@@ -13,8 +13,9 @@
 use std::fmt;
 
 use oarsmt_geom::HananGraph;
-use oarsmt_graph::dijkstra::SearchSpace;
+use oarsmt_graph::dijkstra::{DijkstraWorkspace, QueuePolicy};
 use oarsmt_graph::mst::prim_mst;
+use oarsmt_graph::GridAdjacency;
 
 use crate::error::RouteError;
 use crate::tree::RouteTree;
@@ -45,12 +46,16 @@ impl SpanningRouter {
         if n < 2 {
             return Err(RouteError::TooFewTerminals(n));
         }
-        let mut space = SearchSpace::new();
+        let mut space = DijkstraWorkspace::new();
+        let mut adj = GridAdjacency::new();
+        adj.ensure(graph);
 
         // Dense pairwise obstacle-avoiding distances.
         let mut dist = vec![0.0f64; n * n];
         for (i, &p) in pins.iter().enumerate() {
-            let d = space.distances_from(graph, p).map_err(RouteError::from)?;
+            let d = space
+                .distances_from(graph, &adj, p)
+                .map_err(RouteError::from)?;
             for (j, &q) in pins.iter().enumerate() {
                 dist[i * n + j] = d[graph.index(q)];
             }
@@ -59,13 +64,23 @@ impl SpanningRouter {
 
         // Embed each MST edge with an independent maze route.
         let mut tree = RouteTree::new();
+        let mut path = Vec::new();
         for e in &mst {
             let target = graph.index(pins[e.b]);
-            let path = space
-                .shortest_path_to_set(graph, &[pins[e.a]], |i| i == target, None)
+            space
+                .search_into(
+                    graph,
+                    &adj,
+                    &[pins[e.a]],
+                    |i| i == target,
+                    None,
+                    QueuePolicy::Heap,
+                    &[],
+                    &mut path,
+                )
                 .map_err(RouteError::from)?;
-            for (a, b) in path.edges() {
-                tree.add_edge(graph, a, b);
+            for w in path.windows(2) {
+                tree.add_edge(graph, w[0], w[1]);
             }
         }
         Ok(tree)

@@ -3,7 +3,7 @@
 //! `OarmstRouter` grows one multi-source Dijkstra across all Prim steps of
 //! a build (Auto/Heap/Dial). The oracle below is the construction it
 //! replaced: every Prim step restarts a heap Dijkstra from the whole current
-//! tree through the public `shortest_path_to_set_policy_into` API. The two
+//! tree through the public `DijkstraWorkspace::search_into` API. The two
 //! must agree exactly — edge lists, cost bits and `RouteError` values — on
 //! the unpruned build and on the full route (prune rounds + polish), across:
 //!
@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use oarsmt_geom::gen::{CaseGenerator, GeneratorConfig};
 use oarsmt_geom::{GridPoint, HananGraph, VertexKind};
 use oarsmt_graph::dijkstra::{DijkstraWorkspace, SearchBounds};
-use oarsmt_graph::StampMap;
+use oarsmt_graph::{GridAdjacency, StampMap};
 use oarsmt_router::prune::retain_irredundant_in;
 use oarsmt_router::retrace::polish_round_policy_in;
 use oarsmt_router::{OarmstRouter, QueuePolicy, RouteContext, RouteError, RouteTree};
@@ -59,11 +59,14 @@ fn restart_build(
     unconnected.remove(&graph.index(first));
     let mut tree_vertices = vec![first];
     let mut in_tree: HashSet<usize> = HashSet::from([graph.index(first)]);
+    let mut adj = GridAdjacency::new();
+    adj.ensure(graph);
     let mut tree = RouteTree::new();
     let mut path = Vec::new();
     while !unconnected.is_empty() {
-        let searched = ws.shortest_path_to_set_policy_into(
+        let searched = ws.search_into(
             graph,
+            &adj,
             &tree_vertices,
             |i| unconnected.contains(&i),
             bounds,
