@@ -5,6 +5,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Runs a name-filtered `cargo test` lane and fails it when the filter
+# selected no test at all: cargo reports success for a filter that matches
+# nothing, so a renamed test would otherwise turn the lane silently green.
+nonempty() {
+    local out
+    out=$("$@" 2>&1) || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    local ran
+    ran=$(printf '%s\n' "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
+    if [ "$ran" -eq 0 ]; then
+        echo "ERROR: '$*' ran 0 tests" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -28,7 +43,7 @@ cargo test -q -p oarsmt-telemetry --features telemetry-timing
 echo "==> simd lane (AVX2+FMA kernels build, lint clean, tests pass on any host)"
 cargo clippy -q -p oarsmt-nn --all-targets --features simd -- -D warnings
 cargo test -q -p oarsmt-nn --features simd
-cargo test -q -p oarsmt --features simd batch
+nonempty cargo test -q -p oarsmt --features simd batch
 cargo check -q -p oarsmt-bench --features simd
 cargo check -q -p oarsmt-repro --features simd
 
@@ -36,7 +51,7 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> counter determinism (bit-identical totals across thread counts, trace recorder armed)"
-cargo test -q --test parallel_determinism counter_totals
+nonempty cargo test -q --test parallel_determinism counter_totals
 
 echo "==> allocation sanitizer (zero steady-state allocs on registered hot paths, both kernel lanes)"
 cargo test --release -q -p oarsmt-lint --features alloc-count,simd --test alloc_sanitizer
@@ -52,8 +67,8 @@ echo "==> Prim-field equivalence (resumable build == per-step restart Prim oracl
 cargo test -q -p oarsmt-router --test prim_field
 
 echo "==> batched-path equivalence (batch == sequential bit-identity at nn/core/rl levels)"
-cargo test -q -p oarsmt-nn batch
-cargo test -q -p oarsmt batch
+nonempty cargo test -q -p oarsmt-nn batch
+nonempty cargo test -q -p oarsmt batch
 cargo test -q -p oarsmt-rl --test batch_equivalence
 
 echo "==> dijkstra_bench smoke (quick mode, asserts heap/Dial checksum + op-count identity)"

@@ -1,7 +1,7 @@
 //! `unet_throughput`: selector-forward and train-step throughput of the
 //! 3D Residual U-Net on a ladder of layout sizes.
 //!
-//! A *forward* is one [`UNet3d::predict_in`] over the 7-channel feature
+//! A *forward* is one [`UNet3d::infer_in`] over the 7-channel feature
 //! encoding of a generated layout — exactly the inference a
 //! `NeuralSelector::fsp` performs once per MCTS search. A *train step* is
 //! one `zero_grad` + `forward_in` + BCE-with-logits + `backward_in` on the
@@ -175,16 +175,17 @@ fn f64_sum(data: &[f32]) -> f64 {
     data.iter().map(|&v| f64::from(v)).sum()
 }
 
-/// One predict + one train step through the legacy entry points (fresh
-/// workspaces), used for the naive-reference oracle pass.
+/// One predict + one train step, each through a fresh workspace, used for
+/// the naive-reference oracle pass.
 fn checksum_pass(net: &mut UNet3d, x: &Tensor, targets: &Tensor, mask: &Tensor) -> Checksums {
-    let probs = net.predict(x);
+    let probs = net.infer_in(x, &mut NnWorkspace::new());
     let predict = f64_sum(probs.data()).to_bits();
     net.zero_grad();
-    let logits = net.forward(x);
+    let mut ws = NnWorkspace::new();
+    let logits = net.forward_in(x, &mut ws);
     let cs_logits = f64_sum(logits.data()).to_bits();
     let out = bce_with_logits(&logits, targets, Some(mask));
-    let grad_in = net.backward(&out.grad);
+    let grad_in = net.backward_in(out.grad, &mut ws);
     let cs_grad_in = f64_sum(grad_in.data()).to_bits();
     let mut param_sum = 0.0f64;
     for p in net.params_mut() {
@@ -207,7 +208,7 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     let mut ws = NnWorkspace::new();
 
     // --- checksum pass through the GEMM + workspace path ---
-    let probs = net.predict_in(&x, &mut ws);
+    let probs = net.infer_in(&x, &mut ws);
     let cs_predict = f64_sum(probs.data()).to_bits();
     let scalar_probs: Vec<f32> = probs.data().to_vec();
     ws.free(probs);
@@ -248,7 +249,7 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     if simd {
         ws.set_kernel_policy(KernelPolicy::Simd);
         let simd_before = ws.counters.get(Counter::GemmKernelSimd);
-        let p = net.predict_in(&x, &mut ws);
+        let p = net.infer_in(&x, &mut ws);
         let ulp = oarsmt_nn::kernels::max_ulp_distance(p.data(), &scalar_probs);
         let close = p
             .data()
@@ -276,7 +277,7 @@ fn run_rung(r: &Rung, profile: bool, simd: bool) -> RungResult {
     // --- forward (inference) timing ---
     let t0 = Instant::now();
     for _ in 0..r.fwd_iters {
-        let p = net.predict_in(&x, &mut ws);
+        let p = net.infer_in(&x, &mut ws);
         std::hint::black_box(p.data()[0]);
         ws.free(p);
     }

@@ -103,15 +103,31 @@ pub fn encode_features(graph: &HananGraph, extra_pins: &[GridPoint]) -> Tensor {
 /// [`encode_features`] with the tensor drawn from a workspace pool, so the
 /// inference hot path (see `oarsmt_router::RouteContext::nn`) encodes
 /// without allocating. Free the returned tensor back into `ws` after use.
+///
+/// The `[7, M, H, V]` tensor is one sample to the network
+/// ([`UNet3d::infer_in`](oarsmt_nn::UNet3d::infer_in) reads it as `B = 1`
+/// with no copy).
 pub fn encode_features_into(
     graph: &HananGraph,
     extra_pins: &[GridPoint],
     ws: &mut NnWorkspace,
 ) -> Tensor {
     let (h, v, m) = graph.dims();
+    let mut t = ws.alloc(&[FEATURE_CHANNELS, m, h, v]);
+    encode_graph(graph, 1, t.data_mut());
+    for &p in extra_pins {
+        t.data_mut()[tensor_offset(graph, p)] = 1.0;
+    }
+    t
+}
+
+/// Writes the graph's seven channels into sample 0 of a channel-major
+/// `[7, bsz, M, H, V]` buffer (channel `c` starts at `c · bsz · spatial`).
+fn encode_graph(graph: &HananGraph, bsz: usize, data: &mut [f32]) {
+    let (h, v, _m) = graph.dims();
+    let stride = bsz * graph.len();
     let max_cost = graph.max_cost().max(f64::MIN_POSITIVE) as f32;
     let via = (graph.via_cost() as f32) / max_cost;
-    let mut t = ws.alloc(&[FEATURE_CHANNELS, m, h, v]);
     for idx in 0..graph.len() {
         let p = graph.point(idx);
         let (pin, obstacle) = match graph.kind_at(idx) {
@@ -119,8 +135,6 @@ pub fn encode_features_into(
             VertexKind::Obstacle => (0.0, 1.0),
             VertexKind::Empty => (0.0, 0.0),
         };
-        t.set4(0, p.m, p.h, p.v, pin);
-        t.set4(1, p.m, p.h, p.v, obstacle);
         let right = if p.h + 1 < h {
             graph.x_cost(p.h) as f32 / max_cost
         } else {
@@ -141,28 +155,26 @@ pub fn encode_features_into(
         } else {
             0.0
         };
-        t.set4(2, p.m, p.h, p.v, right);
-        t.set4(3, p.m, p.h, p.v, left);
-        t.set4(4, p.m, p.h, p.v, up);
-        t.set4(5, p.m, p.h, p.v, down);
-        t.set4(6, p.m, p.h, p.v, via);
+        let off = tensor_offset(graph, p);
+        for (c, val) in [pin, obstacle, right, left, up, down, via]
+            .into_iter()
+            .enumerate()
+        {
+            data[c * stride + off] = val;
+        }
     }
-    for &p in extra_pins {
-        t.set4(0, p.m, p.h, p.v, 1.0);
-    }
-    t
 }
 
 /// Encodes `B` states of one Hanan graph into a channel-major
-/// `[7, B, M, H, V]` batch tensor (the layout of
-/// `oarsmt_nn::Layer::forward_batch_in`). State `b`'s extra pins are the
-/// `lens[b]` points at their running offset into `pts` (a flattened
-/// state list, so callers queue states without nested allocations).
+/// `[7, B, M, H, V]` batch tensor (the activation layout of
+/// `oarsmt_nn::Layer`). State `b`'s extra pins are the `lens[b]` points at
+/// their running offset into `pts` (a flattened state list, so callers
+/// queue states without nested allocations).
 ///
 /// Sample `b`'s subtensor is bit-identical to
 /// [`encode_features_into`]`(graph, state_b, ws)`: the graph-dependent
-/// channels are encoded once and replicated, and only the pin channel
-/// differs per sample.
+/// channels are encoded once into sample 0 and replicated, and only the
+/// pin channel differs per sample.
 ///
 /// # Panics
 ///
@@ -183,16 +195,15 @@ pub fn encode_features_batch_into(
     );
     let (h, v, m) = graph.dims();
     let spatial = m * h * v;
-    let base = encode_features_into(graph, &[], ws);
     let mut t = ws.alloc(&[FEATURE_CHANNELS, bsz, m, h, v]);
+    encode_graph(graph, bsz, t.data_mut());
     for c in 0..FEATURE_CHANNELS {
-        let src = &base.data()[c * spatial..(c + 1) * spatial];
-        for b in 0..bsz {
-            let dst = (c * bsz + b) * spatial;
-            t.data_mut()[dst..dst + spatial].copy_from_slice(src);
+        let src = c * bsz * spatial;
+        for b in 1..bsz {
+            t.data_mut()
+                .copy_within(src..src + spatial, src + b * spatial);
         }
     }
-    ws.free(base);
     let mut off = 0usize;
     for (b, &l) in lens.iter().enumerate() {
         for &p in &pts[off..off + l as usize] {

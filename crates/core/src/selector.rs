@@ -10,7 +10,7 @@ use oarsmt_nn::unet::{UNet3d, UNetConfig};
 use oarsmt_nn::NnWorkspace;
 
 use crate::error::CoreError;
-use crate::features::{encode_features_batch_into, encode_features_into, FEATURE_CHANNELS};
+use crate::features::{encode_features_batch_into, FEATURE_CHANNELS};
 
 /// A Steiner-point selector: anything that can produce the paper's *final
 /// selected probability* `fsp(v)` for every vertex of a Hanan graph.
@@ -235,10 +235,7 @@ impl Selector for NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        // Thin batch-of-one wrapper (wrapper-discipline D3): the real
-        // inference lives in `fsp_batch_into_ws`, whose single-state branch
-        // is the classic per-sample path.
-        self.fsp_batch_into_ws(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
+        self.infer_states_into(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
     }
 
     fn fsp_batch_into_ws(
@@ -249,25 +246,28 @@ impl Selector for NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        if lens.len() == 1 {
-            // Single-state fast path: rank-4 tensors end to end (the MCTS
-            // B=1 hot path keeps its exact allocation and counter profile).
-            let x = encode_features_into(graph, pts, ws);
-            // The network emits a [1, M, H, V] probability volume (see the
-            // layout note in `features`); reorder it to graph-index order.
-            let probs = self.net.predict_in(&x, ws);
-            crate::features::to_graph_order_into(probs.data(), graph, out);
-            ws.free(probs);
-            ws.free(x);
-            return;
-        }
-        // True batch: channel-major [7, B, M, H, V] encodes, one network
-        // pass per chunk (GEMM N = B·spatial), per-state reorder of the
-        // contiguous [1, B, M, H, V] probability blocks. Large flushes are
-        // chunked so each pass's working set stays cache-resident (see
-        // `FLUSH_CHUNK_VOXELS`); every state's arithmetic is independent of
-        // its batch-mates, so the chunk boundary never changes a bit of
-        // output — only which GEMM panel a state's columns land in.
+        self.infer_states_into(graph, pts, lens, out, ws);
+    }
+}
+
+impl NeuralSelector {
+    /// The inference behind both selector impls (owned and `&self`), for
+    /// one state or many: channel-major `[7, B, M, H, V]` encodes, one
+    /// [`UNet3d::infer_in`] per chunk (GEMM `N = B·spatial`), per-state
+    /// reorder of the contiguous `[1, B, M, H, V]` probability blocks into
+    /// graph-index order. Large flushes are chunked so each pass's working
+    /// set stays cache-resident (see `FLUSH_CHUNK_VOXELS`); every state's
+    /// arithmetic is independent of its batch-mates, so neither the chunk
+    /// boundary nor the batch size changes a bit of output — only which
+    /// GEMM panel a state's columns land in.
+    fn infer_states_into(
+        &self,
+        graph: &HananGraph,
+        pts: &[GridPoint],
+        lens: &[u32],
+        out: &mut Vec<f32>,
+        ws: &mut NnWorkspace,
+    ) {
         let spatial = graph.len();
         let max_chunk = (FLUSH_CHUNK_VOXELS / spatial).max(1);
         out.clear();
@@ -277,7 +277,7 @@ impl Selector for NeuralSelector {
             let b1 = (b0 + max_chunk).min(lens.len());
             let npts: usize = lens[b0..b1].iter().map(|&l| l as usize).sum();
             let x = encode_features_batch_into(graph, &pts[p0..p0 + npts], &lens[b0..b1], ws);
-            let probs = self.net.predict_batch_in(&x, ws);
+            let probs = self.net.infer_in(&x, ws);
             for b in 0..b1 - b0 {
                 crate::features::to_graph_order_append(
                     &probs.data()[b * spatial..(b + 1) * spatial],
@@ -307,8 +307,8 @@ impl Selector for NeuralSelector {
 const FLUSH_CHUNK_VOXELS: usize = 32 * 1024;
 
 /// Shared-reference inference: a `&NeuralSelector` is itself a selector,
-/// running the cache-free `&self` network path
-/// ([`UNet3d::infer_in`]) — bit-identical to the owned path. This is what
+/// running the same `&self` network path ([`UNet3d::infer_in`]) as the
+/// owned one, so the two are bit-identical by construction. This is what
 /// lets parallel workers and the training harness evaluate one weight set
 /// without cloning it per thread.
 impl Selector for &NeuralSelector {
@@ -329,11 +329,7 @@ impl Selector for &NeuralSelector {
         out: &mut Vec<f32>,
         ws: &mut NnWorkspace,
     ) {
-        let x = encode_features_into(graph, extra_pins, ws);
-        let probs = self.net.infer_in(&x, ws);
-        crate::features::to_graph_order_into(probs.data(), graph, out);
-        ws.free(probs);
-        ws.free(x);
+        self.infer_states_into(graph, extra_pins, &[extra_pins.len() as u32], out, ws);
     }
 }
 

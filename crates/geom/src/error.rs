@@ -25,10 +25,10 @@ pub enum GeomError {
         /// Requested dimensions `(h, v, m)`.
         dims: (usize, usize, usize),
     },
-    /// The grid has `h · v · m ≥ u32::MAX` vertices, or the product
-    /// overflows `usize`. The graph crate stores vertex indices as `u32`
-    /// and reserves `u32::MAX` as a sentinel, so such grids are rejected
-    /// before anything is allocated.
+    /// The grid has more than [`MAX_VERTICES`](crate::MAX_VERTICES)
+    /// vertices, or `h · v · m` overflows `usize`. The graph crate's `u32`
+    /// vertex indices and CSR edge offsets could not address it, so such
+    /// grids are rejected before anything is allocated.
     TooLarge {
         /// Requested dimensions `(h, v, m)`.
         dims: (usize, usize, usize),
@@ -60,8 +60,11 @@ impl fmt::Display for GeomError {
             ),
             GeomError::TooLarge { dims } => write!(
                 f,
-                "grid dimensions {}x{}x{} exceed the u32 vertex index space",
-                dims.0, dims.1, dims.2
+                "grid dimensions {}x{}x{} exceed the {}-vertex limit of the u32 graph indices",
+                dims.0,
+                dims.1,
+                dims.2,
+                crate::MAX_VERTICES
             ),
             GeomError::InvalidCost(c) => {
                 write!(f, "routing cost {c} is not finite and positive")

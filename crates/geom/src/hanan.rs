@@ -17,6 +17,14 @@ use crate::coord::{Coord, GridPoint};
 use crate::error::GeomError;
 use crate::layout::Layout;
 
+/// The most vertices a [`HananGraph`] may have: `⌊u32::MAX / 6⌋`
+/// (715,827,882). The graph crate indexes vertices as `u32` (reserving
+/// `u32::MAX` as its "no predecessor" sentinel) and its CSR adjacency
+/// (`oarsmt_graph::GridAdjacency`) stores edge offsets as `u32`; with up
+/// to six neighbours per vertex, `6 · n` offsets must fit, or they would
+/// wrap silently.
+pub const MAX_VERTICES: usize = u32::MAX as usize / 6;
+
 /// Classification of a Hanan-graph vertex (Section 2.2: "a vertex can be a
 /// pin, an obstacle, or an empty location to place a Steiner point").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -117,8 +125,8 @@ impl HananGraph {
     /// # Errors
     ///
     /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
-    /// * [`GeomError::TooLarge`] if `h · v · m` overflows `usize` or is
-    ///   `≥ u32::MAX`, past the graph crate's `u32` vertex indices.
+    /// * [`GeomError::TooLarge`] if `h · v · m` overflows `usize` or
+    ///   exceeds [`MAX_VERTICES`], past the graph crate's `u32` indices.
     /// * [`GeomError::InvalidCost`] if any gap or via cost is not finite and
     ///   positive, or a cost vector has the wrong length (reported with the
     ///   offending length as the cost value `-1.0`).
@@ -162,16 +170,15 @@ impl HananGraph {
     /// # Errors
     ///
     /// * [`GeomError::EmptyDimension`] if any of `h`, `v`, `m` is zero.
-    /// * [`GeomError::TooLarge`] if the product overflows `usize` or is
-    ///   `≥ u32::MAX`: the graph crate stores vertex indices as `u32` and
-    ///   reserves `u32::MAX` as its "no predecessor" sentinel.
+    /// * [`GeomError::TooLarge`] if the product overflows `usize` or
+    ///   exceeds [`MAX_VERTICES`] (see there for why).
     pub(crate) fn vertex_count(h: usize, v: usize, m: usize) -> Result<usize, GeomError> {
         if h == 0 || v == 0 || m == 0 {
             return Err(GeomError::EmptyDimension { dims: (h, v, m) });
         }
         h.checked_mul(v)
             .and_then(|hv| hv.checked_mul(m))
-            .filter(|&n| n < u32::MAX as usize)
+            .filter(|&n| n <= MAX_VERTICES)
             .ok_or(GeomError::TooLarge { dims: (h, v, m) })
     }
 
@@ -674,6 +681,37 @@ mod tests {
     use super::*;
     use crate::layout::Pin;
     use crate::rect::{Obstacle, Rect};
+
+    /// `6 · n` CSR edge offsets must fit in `u32`: the limit is the last
+    /// `n` for which they do. Checked on both sides, in one axis and
+    /// spread over three; `vertex_count` allocates nothing.
+    #[test]
+    fn vertex_count_keeps_six_offsets_per_vertex_in_u32() {
+        let limit = MAX_VERTICES as u64;
+        assert_eq!(limit, 715_827_882);
+        assert!(6 * limit <= u64::from(u32::MAX));
+        assert!(6 * (limit + 1) > u64::from(u32::MAX));
+        assert_eq!(
+            HananGraph::vertex_count(MAX_VERTICES, 1, 1),
+            Ok(MAX_VERTICES)
+        );
+        // 715,827,882 = 2 · 3 · 119,304,647.
+        assert_eq!(
+            HananGraph::vertex_count(119_304_647, 3, 2),
+            Ok(MAX_VERTICES)
+        );
+        for dims in [
+            (MAX_VERTICES + 1, 1, 1),
+            (26_755, 26_755, 1),
+            (1, 1, usize::MAX),
+        ] {
+            assert_eq!(
+                HananGraph::vertex_count(dims.0, dims.1, dims.2),
+                Err(GeomError::TooLarge { dims }),
+                "{dims:?}"
+            );
+        }
+    }
 
     #[test]
     fn index_sets_partition_the_graph() {

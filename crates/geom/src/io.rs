@@ -264,9 +264,10 @@ mod tests {
 
     #[test]
     fn dimensions_past_u32_indices_are_a_typed_error() {
-        // At the u32::MAX vertex limit and past it; the default x costs
-        // of the first header alone would take 32 GiB.
+        // Just past the MAX_VERTICES limit, at u32::MAX and past it; the
+        // default x costs of these headers would take 5.7–32 GiB.
         for (text, dims) in [
+            ("hanan 715827883 1 1\n", (715827883, 1, 1)),
             ("hanan 4294967295 1 1\n", (4294967295, 1, 1)),
             ("hanan 65536 65536 1\n", (65536, 65536, 1)),
         ] {

@@ -41,6 +41,6 @@ pub mod rect;
 pub use coord::{Coord, GridPoint};
 pub use error::GeomError;
 pub use gen::{CaseGenerator, GeneratorConfig, TestSubsetSpec};
-pub use hanan::{HananGraph, VertexKind};
+pub use hanan::{HananGraph, VertexKind, MAX_VERTICES};
 pub use layout::{Layout, Pin};
 pub use rect::{Obstacle, Rect};

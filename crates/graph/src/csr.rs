@@ -98,6 +98,8 @@ impl GridAdjacency {
                 self.nbr.push(graph.index(q) as u32);
                 self.cost.push(w);
             }
+            // Cannot wrap: a graph has at most `oarsmt_geom::MAX_VERTICES`
+            // = ⌊u32::MAX / 6⌋ vertices, each with at most six neighbours.
             self.offsets.push(self.nbr.len() as u32);
         }
         self.dims = graph.dims();

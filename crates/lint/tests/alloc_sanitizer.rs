@@ -1,7 +1,8 @@
 //! Dynamic counterpart of the static D2 zero-alloc rule: a counting
 //! `#[global_allocator]` proves the registered hot paths (`route_in`,
 //! `route_cost_in`, the per-query `search_into`, `predict_with_fsp_in`,
-//! the batched `fsp_batch_into_ws` flush) perform
+//! the batched `fsp_batch_into_ws` flush, the shared-selector
+//! `fsp_into_ws` → `UNet3d::infer_in`) perform
 //! **zero** heap allocations in steady state,
 //! and that `search_in` reaches a stable per-call allocation count
 //! (its [`SearchOutcome`] owns freshly allocated label/counter vectors, so
@@ -267,7 +268,7 @@ fn hot_paths_are_allocation_free_in_steady_state() {
 
     // --- fsp_batch_into_ws: the batched GEMM flush (DESIGN.md §13) is
     // allocation-free once the workspace pools and the output vector are
-    // warm, at B = 1 (the single-state fast path) and B = 4 alike. ---
+    // warm, at B = 1 and B = 4 alike (one path for both). ---
     let mut neural = NeuralSelector::random(0xA110C);
     let mut ws = NnWorkspace::new();
     let states: Vec<Vec<GridPoint>> = vec![
@@ -307,6 +308,39 @@ fn hot_paths_are_allocation_free_in_steady_state() {
     assert!(
         ws.counters.get(Counter::BatchFlushes) > flushes_before,
         "batch-flush counters did not advance during the zero-alloc flushes"
+    );
+
+    // --- the shared-selector inference of `RlRouter`/`SharedSelector`:
+    // `(&NeuralSelector)::fsp_into_ws` → `UNet3d::infer_in` at B = 1
+    // allocates nothing once the workspace and output are warm. ---
+    let mut shared = &neural;
+    let mut shared_ws = NnWorkspace::new();
+    let mut shared_out = Vec::new();
+    let mut warm_shared = 0.0f32;
+    for _ in 0..3 {
+        shared.fsp_into_ws(&g, &states[2], &mut shared_out, &mut shared_ws);
+        warm_shared = shared_out.iter().sum();
+    }
+    let macs_before = shared_ws.counters.total_macs();
+    let (n, steady_shared) = allocs_during(|| {
+        let mut sum = 0.0f32;
+        for _ in 0..8 {
+            shared.fsp_into_ws(&g, &states[2], &mut shared_out, &mut shared_ws);
+            sum = shared_out.iter().sum();
+        }
+        sum
+    });
+    assert_eq!(
+        n, 0,
+        "shared-selector fsp_into_ws allocated {n} times in steady state"
+    );
+    assert_eq!(
+        steady_shared, warm_shared,
+        "steady-state shared result drifted"
+    );
+    assert!(
+        shared_ws.counters.total_macs() > macs_before,
+        "U-Net MAC counters did not advance during the zero-alloc inferences"
     );
 
     // --- the AVX2+FMA kernel lane (feature `simd`) allocates nothing

@@ -21,12 +21,12 @@ fn bench(label: &str, shape: &[usize], policy: KernelPolicy, iters: usize) -> f6
     let mut ws = NnWorkspace::new();
     ws.set_kernel_policy(policy);
     // Warm the pool.
-    let y = net.predict_in(&x, &mut ws);
+    let y = net.infer_in(&x, &mut ws);
     ws.free(y);
     ws.enable_profiling();
     let t0 = Instant::now();
     for _ in 0..iters {
-        let y = net.predict_in(&x, &mut ws);
+        let y = net.infer_in(&x, &mut ws);
         ws.free(y);
     }
     let fwd = t0.elapsed().as_secs_f64() / iters as f64;

@@ -6,6 +6,7 @@
 
 use crate::layer::Layer;
 use crate::tensor::Tensor;
+use crate::workspace::NnWorkspace;
 
 /// A scalar loss for gradient checking: `L = sum(y^2) / 2`, whose gradient
 /// with respect to `y` is simply `y`.
@@ -20,25 +21,34 @@ fn loss_of(y: &Tensor) -> f64 {
 /// Checks a layer's analytic gradients against central finite differences.
 ///
 /// Uses the loss `L = ||forward(x)||² / 2`. Verifies the input gradient and
-/// every parameter gradient to the given relative/absolute tolerance.
+/// every parameter gradient to the given relative/absolute tolerance. `x`
+/// may be one rank-4 sample or a rank-5 batch (see [`Layer`]); every pass
+/// shares one workspace, which must not change a bit.
 ///
 /// # Panics
 ///
 /// Panics (test-style assertion) when a gradient mismatches.
 pub fn check_layer_gradients<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol: f32) {
     // Analytic pass.
+    let mut ws = NnWorkspace::new();
     layer.zero_grad();
-    let y = layer.forward(x);
-    let grad_in = layer.backward(&y); // dL/dy = y for our loss
+    let y = layer.forward_in(x, &mut ws);
+    let grad_in = layer.backward_in(y, &mut ws); // dL/dy = y for our loss
+    let mut loss_at = |layer: &mut L, x: &Tensor| {
+        let y = layer.forward_in(x, &mut ws);
+        let l = loss_of(&y);
+        ws.free(y);
+        l
+    };
 
     // Input gradient check.
     let mut x_pert = x.clone();
     for i in 0..x.len() {
         let orig = x_pert.data()[i];
         x_pert.data_mut()[i] = orig + eps;
-        let lp = loss_of(&layer.forward(&x_pert));
+        let lp = loss_at(layer, &x_pert);
         x_pert.data_mut()[i] = orig - eps;
-        let lm = loss_of(&layer.forward(&x_pert));
+        let lm = loss_at(layer, &x_pert);
         x_pert.data_mut()[i] = orig;
         let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
         let analytic = grad_in.data()[i];
@@ -60,9 +70,9 @@ pub fn check_layer_gradients<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol:
         for i in 0..plen {
             let orig = layer.params_mut()[pi].value.data()[i];
             layer.params_mut()[pi].value.data_mut()[i] = orig + eps;
-            let lp = loss_of(&layer.forward(x));
+            let lp = loss_at(layer, x);
             layer.params_mut()[pi].value.data_mut()[i] = orig - eps;
-            let lm = loss_of(&layer.forward(x));
+            let lm = loss_at(layer, x);
             layer.params_mut()[pi].value.data_mut()[i] = orig;
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let analytic = analytic_grads[pi][i];
@@ -94,12 +104,12 @@ mod tests {
     }
 
     impl Layer for Scale {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
+        fn forward_in(&mut self, x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
             self.cache = Some(x.clone());
             let k = self.k.value.data()[0];
             x.map(|v| k * v)
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        fn backward_in(&mut self, grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
             let x = self.cache.take().expect("forward first");
             let k = self.k.value.data()[0];
             let dk: f32 = grad_out
@@ -134,11 +144,11 @@ mod tests {
             cache: Option<Tensor>,
         }
         impl Layer for Broken {
-            fn forward(&mut self, x: &Tensor) -> Tensor {
+            fn forward_in(&mut self, x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
                 self.cache = Some(x.clone());
                 x.map(|v| 2.0 * v)
             }
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            fn backward_in(&mut self, grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
                 self.cache.take().expect("forward first");
                 grad_out.map(|_| 0.0)
             }

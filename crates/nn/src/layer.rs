@@ -1,4 +1,5 @@
-//! The [`Layer`] trait and trainable [`Param`]eters.
+//! The [`Layer`] trait, trainable [`Param`]eters and the `Dims` view of
+//! an activation shape.
 
 use std::fmt;
 
@@ -33,79 +34,41 @@ impl fmt::Display for Param {
     }
 }
 
-/// A differentiable layer with cached activations.
+/// A differentiable layer over batch-major activations.
 ///
-/// The substrate uses define-by-run style with explicit caches: `forward`
-/// stores whatever `backward` needs, and `backward` consumes the most recent
-/// forward pass. Layers are therefore stateful and a `forward`/`backward`
-/// pair must not interleave with other passes through the same layer.
+/// Activations are channel-major rank-5 `[C, B, d1, d2, d3]` tensors:
+/// channel `c` holds the `B` samples' volumes back to back, so a
+/// convolution flattens the trailing axes into one GEMM `N = B·d1·d2·d3`
+/// and one weight load serves every sample. A rank-4 `[C, d1, d2, d3]`
+/// tensor is one sample (`B = 1`, the same memory layout), and outputs keep
+/// the rank of their input. Per-sample results do not depend on `B`:
+/// batching only regroups *independent* output elements, never the terms
+/// of one element's sum, and parameter gradients accumulate samples in
+/// ascending order — the `+=` sequence of a per-sample loop.
+///
+/// Every layer has one forward body, `forward_core(&self, …, want_cache)`,
+/// which returns the backward cache it was asked for, and one backward
+/// body, `backward_core(&mut self, cache, …)`. [`Layer::forward_in`] stores
+/// the cache in the layer and [`Layer::backward_in`] consumes it, so a
+/// forward/backward pair must not interleave with other passes through the
+/// same layer. Inference ([`UNet3d::infer_in`](crate::unet::UNet3d::infer_in))
+/// runs the same forward bodies through `&self` and keeps no cache. All
+/// intermediates come from the [`NnWorkspace`] pool, so warm passes
+/// allocate nothing.
 pub trait Layer {
-    /// Computes the layer output, caching intermediates for `backward`.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// Computes the layer output, caching what [`Layer::backward_in`]
+    /// needs.
+    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor;
 
     /// Propagates the output gradient to the input gradient, accumulating
-    /// parameter gradients along the way.
+    /// parameter gradients along the way. Takes the gradient *by value* so
+    /// implementations can work in place on it or recycle its storage.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `backward` is called without a matching
-    /// preceding `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Workspace-threaded variant of [`Layer::forward`]: output (and any
-    /// backward caches) come from the workspace pool, so steady-state calls
-    /// allocate nothing. Results are bit-identical to `forward`.
-    ///
-    /// The default delegates to `forward`; optimized layers override this
-    /// and implement `forward` as a thin wrapper over a fresh workspace.
-    fn forward_in(&mut self, x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        self.forward(x)
-    }
-
-    /// Workspace-threaded variant of [`Layer::backward`]. Takes the output
-    /// gradient *by value* so implementations can work in place on it (the
-    /// activation layers do) or recycle its storage into the pool.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called without a matching preceding
+    /// Implementations panic if called without a matching preceding
     /// [`Layer::forward_in`].
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let g = self.backward(&grad_out);
-        ws.free(grad_out);
-        g
-    }
-
-    /// Batched variant of [`Layer::forward_in`] over rank-5
-    /// `[C, B, d1, d2, d3]` activations (channel-major: channel `c` holds
-    /// the `B` samples' volumes back to back, so convolutions flatten the
-    /// trailing axes into one GEMM `N = B·d1·d2·d3` and a single weight
-    /// load serves every sample). Per-sample results are bit-identical to
-    /// running [`Layer::forward_in`] on each sample alone: batching only
-    /// regroups *independent* output elements, never the terms of one
-    /// element's sum.
-    ///
-    /// The default panics — every layer used inside the batched selector
-    /// stack overrides it (a generic per-sample fallback would silently
-    /// clobber single-sample caches and break `backward_batch_in`).
-    fn forward_batch_in(&mut self, _x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        // lint: panic-ok(deliberately loud default: every layer in the batched stack overrides it, and a silent per-sample fallback would clobber single-sample caches)
-        unimplemented!("layer has no batched forward path")
-    }
-
-    /// Batched variant of [`Layer::backward_in`] consuming a rank-5
-    /// `[C, B, d1, d2, d3]` output gradient. Parameter-gradient
-    /// accumulation visits samples in ascending batch order, so every
-    /// `+=` sequence per gradient element matches the sequential
-    /// per-sample loop bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// The default panics; implementations may panic if called without a
-    /// matching preceding [`Layer::forward_batch_in`].
-    fn backward_batch_in(&mut self, _grad_out: Tensor, _ws: &mut NnWorkspace) -> Tensor {
-        unimplemented!("layer has no batched backward path")
-    }
+    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor;
 
     /// The layer's trainable parameters (empty for activations and pooling).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -125,6 +88,64 @@ pub trait Layer {
     }
 }
 
+/// The `[C, B, d1, d2, d3]` view of an activation shape, kept on the stack
+/// so warm passes stay allocation-free. Rank 4 reads as `B = 1` and is
+/// remembered, so tensors built from a `Dims` keep their source's rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dims {
+    /// Channels.
+    pub c: usize,
+    /// Samples.
+    pub b: usize,
+    /// Spatial extent `[d1, d2, d3]`.
+    pub d: [usize; 3],
+    /// Whether the shape carries its batch axis.
+    rank5: bool,
+}
+
+impl Dims {
+    /// Reads a rank-4 or rank-5 activation shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other rank.
+    pub(crate) fn of(s: &[usize]) -> Dims {
+        assert!(
+            s.len() == 4 || s.len() == 5,
+            "activations are [C, B, d1, d2, d3] or [C, d1, d2, d3], got {s:?}"
+        );
+        let rank5 = s.len() == 5;
+        let b = if rank5 { s[1] } else { 1 };
+        let n = s.len();
+        Dims {
+            c: s[0],
+            b,
+            d: [s[n - 3], s[n - 2], s[n - 1]],
+            rank5,
+        }
+    }
+
+    /// Voxels per sample volume.
+    pub(crate) fn spatial(self) -> usize {
+        self.d[0] * self.d[1] * self.d[2]
+    }
+
+    /// The same batch and rank with `c` channels over the volume `d`.
+    pub(crate) fn with(self, c: usize, d: [usize; 3]) -> Dims {
+        Dims { c, d, ..self }
+    }
+
+    /// A zeroed pool tensor of this shape.
+    pub(crate) fn alloc(self, ws: &mut NnWorkspace) -> Tensor {
+        let [d1, d2, d3] = self.d;
+        if self.rank5 {
+            ws.alloc(&[self.c, self.b, d1, d2, d3])
+        } else {
+            ws.alloc(&[self.c, d1, d2, d3])
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +157,16 @@ mod tests {
         p.grad.fill(1.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
+    }
+
+    #[test]
+    fn rank_four_reads_as_one_sample_and_keeps_its_rank() {
+        let mut ws = NnWorkspace::new();
+        let d4 = Dims::of(&[3, 4, 5, 6]);
+        assert_eq!((d4.c, d4.b, d4.d), (3, 1, [4, 5, 6]));
+        assert_eq!(d4.with(2, [1, 2, 3]).alloc(&mut ws).shape(), &[2, 1, 2, 3]);
+        let d5 = Dims::of(&[3, 2, 4, 5, 6]);
+        assert_eq!((d5.b, d5.spatial()), (2, 120));
+        assert_eq!(d5.with(7, d5.d).alloc(&mut ws).shape(), &[7, 2, 4, 5, 6]);
     }
 }

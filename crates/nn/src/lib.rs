@@ -18,9 +18,14 @@
 //! * weight (de)serialization ([`serialize`]) and finite-difference
 //!   gradient checking ([`gradcheck`]).
 //!
-//! Everything is `f32`, single-sample (mini-batches are gradient
-//! accumulation), and CPU-only — appropriate for the laptop-scale
-//! experiments of this reproduction.
+//! Everything is `f32` and CPU-only — appropriate for the laptop-scale
+//! experiments of this reproduction. Activations are batch-major
+//! `[C, B, d1, d2, d3]` tensors, and a rank-4 `[C, d1, d2, d3]` tensor is
+//! one sample (`B = 1`). Each layer has one forward and one backward body
+//! ([`layer`]); a sample's results do not depend on the batch it rides in,
+//! so a batched fit walks the same weight trajectory as a per-sample loop.
+//! [`UNet3d::infer_in`](unet::UNet3d::infer_in) is the one inference entry:
+//! the training forward through `&self`, with no backward caches.
 //!
 //! # Example
 //!
@@ -28,6 +33,7 @@
 //! use oarsmt_nn::layer::Layer;
 //! use oarsmt_nn::tensor::Tensor;
 //! use oarsmt_nn::unet::{UNet3d, UNetConfig};
+//! use oarsmt_nn::NnWorkspace;
 //!
 //! let mut net = UNet3d::new(UNetConfig {
 //!     in_channels: 7,
@@ -35,10 +41,17 @@
 //!     levels: 2,
 //!     seed: 0,
 //! });
-//! // Arbitrary spatial size: 5 x 9 x 3.
+//! let mut ws = NnWorkspace::new();
+//! // Arbitrary spatial size: one 5 x 9 x 3 sample ...
 //! let x = Tensor::zeros(&[7, 5, 9, 3]);
-//! let y = net.forward(&x);
-//! assert_eq!(y.shape(), &[1, 5, 9, 3]);
+//! let probs = net.infer_in(&x, &mut ws);
+//! assert_eq!(probs.shape(), &[1, 5, 9, 3]);
+//! // ... or a batch of two, trained with one forward/backward pair.
+//! let xb = Tensor::stack_batch(&[&x, &x]);
+//! let logits = net.forward_in(&xb, &mut ws);
+//! assert_eq!(logits.shape(), &[1, 2, 5, 9, 3]);
+//! let grad_in = net.backward_in(logits, &mut ws);
+//! assert_eq!(grad_in.shape(), xb.shape());
 //! ```
 
 // Unsafe is forbidden except under the `simd` feature, whose AVX2+FMA

@@ -1,16 +1,17 @@
 //! Group normalization (Wu & He) with full backpropagation.
 //!
-//! Batch normalization is useless at batch size 1 (this substrate trains
-//! sample-by-sample with gradient accumulation), so the normalization
+//! Batch normalization would make a sample's output depend on its
+//! batch-mates (and is useless at batch size 1), so the normalization
 //! option for the U-Net is GroupNorm: channels are split into groups and
 //! each group is normalized over its channels and all spatial positions,
 //! with learned per-channel scale and shift.
 
-use crate::layer::{Layer, Param};
+use crate::layer::{Dims, Layer, Param};
 use crate::tensor::Tensor;
 use crate::workspace::{NnWorkspace, ProfKind};
 
-/// Group normalization over `[C, D1, D2, D3]` tensors.
+/// Group normalization over `[C, B, D1, D2, D3]` activations, with
+/// statistics per sample.
 #[derive(Debug, Clone)]
 pub struct GroupNorm {
     channels: usize,
@@ -19,16 +20,15 @@ pub struct GroupNorm {
     gamma: Param,
     beta: Param,
     cache: Option<NormCache>,
-    /// Retired `inv_std` storage, recycled across forward/backward cycles.
-    spare_inv: Vec<f32>,
 }
 
+/// The backward cache of one GroupNorm forward.
 #[derive(Debug, Clone)]
-struct NormCache {
+pub(crate) struct NormCache {
     /// Normalized activations `x_hat`.
     x_hat: Tensor,
-    /// Per-group `1 / sqrt(var + eps)`.
-    inv_std: Vec<f32>,
+    /// Per-(sample, group) `1 / sqrt(var + eps)`, samples outermost.
+    inv_std: Tensor,
 }
 
 impl GroupNorm {
@@ -52,7 +52,6 @@ impl GroupNorm {
             gamma: Param::new(gamma),
             beta: Param::new(Tensor::zeros(&[channels])),
             cache: None,
-            spare_inv: Vec::new(),
         }
     }
 
@@ -61,182 +60,29 @@ impl GroupNorm {
         self.groups
     }
 
-    /// Cache-free `&self` forward for the shared-selector inference path
-    /// (rank-4 single-sample only). Bit-identical to
-    /// [`Layer::forward_in`]: the normalize and scale-shift steps apply
-    /// the same operation sequence per element, just without storing
-    /// `x_hat`.
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    /// The forward body behind [`Layer::forward_in`] and the inference
+    /// path; the backward cache is returned only when `want_cache`.
+    ///
+    /// Statistics are per (sample, group). The batched layout strides a
+    /// sample's group across channels, so each sum runs channels ascending
+    /// then positions ascending — the element order of the contiguous
+    /// single-sample group, whatever the batch size.
+    pub(crate) fn forward_core(
+        &self,
+        x: &Tensor,
+        ws: &mut NnWorkspace,
+        want_cache: bool,
+    ) -> (Tensor, Option<NormCache>) {
         let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "groupnorm expects [c, d1, d2, d3]");
-        assert_eq!(s[0], self.channels, "groupnorm channel mismatch");
-        let spatial: usize = s[1..].iter().product();
-        let per_group = self.channels / self.groups;
-        let group_len = per_group * spatial;
-        let mut y = ws.alloc(s);
-        let data = x.data();
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
-        for g in 0..self.groups {
-            let start = g * group_len;
-            let slice = &data[start..start + group_len];
-            let mean: f32 = slice.iter().sum::<f32>() / group_len as f32;
-            let var: f32 =
-                slice.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / group_len as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            let dst = &mut y.data_mut()[start..start + group_len];
-            for (i, (o, &v)) in dst.iter_mut().zip(slice).enumerate() {
-                let c = g * per_group + i / spatial;
-                *o = gamma[c] * ((v - mean) * is) + beta[c];
-            }
-        }
-        ws.prof_end(t, ProfKind::NormFwd);
-        y
-    }
-}
-
-impl Layer for GroupNorm {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "groupnorm expects [c, d1, d2, d3]");
-        assert_eq!(s[0], self.channels, "groupnorm channel mismatch");
-        let spatial: usize = s[1..].iter().product();
+        let dims = Dims::of(x.shape());
+        assert_eq!(dims.c, self.channels, "groupnorm channel mismatch");
+        let bsz = dims.b;
+        let spatial = dims.spatial();
         let per_group = self.channels / self.groups;
         let group_len = per_group * spatial;
 
-        let mut x_hat = ws.alloc(s);
-        let mut inv_std = std::mem::take(&mut self.spare_inv);
-        inv_std.clear();
-        inv_std.resize(self.groups, 0.0);
-        let data = x.data();
-        for (g, inv) in inv_std.iter_mut().enumerate() {
-            let start = g * group_len;
-            let slice = &data[start..start + group_len];
-            let mean: f32 = slice.iter().sum::<f32>() / group_len as f32;
-            let var: f32 =
-                slice.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / group_len as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            *inv = is;
-            let dst = &mut x_hat.data_mut()[start..start + group_len];
-            for (o, &v) in dst.iter_mut().zip(slice) {
-                *o = (v - mean) * is;
-            }
-        }
-        // y = gamma[c] * x_hat + beta[c].
-        let mut y = ws.alloc(s);
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
-        for c in 0..self.channels {
-            let base = c * spatial;
-            let src = &x_hat.data()[base..base + spatial];
-            let dst = &mut y.data_mut()[base..base + spatial];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o = gamma[c] * v + beta[c];
-            }
-        }
-        if ws.training() {
-            self.cache = Some(NormCache { x_hat, inv_std });
-        } else {
-            ws.free(x_hat);
-            self.spare_inv = inv_std;
-            self.cache = None;
-        }
-        ws.prof_end(t, ProfKind::NormFwd);
-        y
-    }
-
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let cache = self
-            .cache
-            .take()
-            .expect("groupnorm backward without forward");
-        let s = grad_out.shape().to_vec();
-        let spatial: usize = s[1..].iter().product();
-        let per_group = self.channels / self.groups;
-        let group_len = per_group * spatial;
-
-        // Parameter gradients.
-        let g_out = grad_out.data();
-        let x_hat = cache.x_hat.data();
-        for c in 0..self.channels {
-            let base = c * spatial;
-            let mut dg = 0.0f32;
-            let mut db = 0.0f32;
-            for i in 0..spatial {
-                dg += g_out[base + i] * x_hat[base + i];
-                db += g_out[base + i];
-            }
-            self.gamma.grad.data_mut()[c] += dg;
-            self.beta.grad.data_mut()[c] += db;
-        }
-
-        // Input gradient: for each group,
-        // dx = (inv_std / N) * (N * dxhat - sum(dxhat) - x_hat * sum(dxhat * x_hat))
-        // where dxhat = g_out * gamma[c].
-        let gamma = self.gamma.value.data();
-        let mut grad_in = ws.alloc(&s);
-        let mut dxhat = std::mem::take(&mut ws.dxhat);
-        dxhat.clear();
-        dxhat.resize(group_len, 0.0);
-        for g in 0..self.groups {
-            let start = g * group_len;
-            let mut sum_dxhat = 0.0f32;
-            let mut sum_dxhat_xhat = 0.0f32;
-            for i in 0..group_len {
-                let c = (start + i) / spatial;
-                let d = g_out[start + i] * gamma[c];
-                dxhat[i] = d;
-                sum_dxhat += d;
-                sum_dxhat_xhat += d * x_hat[start + i];
-            }
-            let n = group_len as f32;
-            let is = cache.inv_std[g];
-            for i in 0..group_len {
-                grad_in.data_mut()[start + i] =
-                    (is / n) * (n * dxhat[i] - sum_dxhat - x_hat[start + i] * sum_dxhat_xhat);
-            }
-        }
-        ws.dxhat = dxhat;
-        ws.free(cache.x_hat);
-        self.spare_inv = cache.inv_std;
-        ws.free(grad_out);
-        ws.prof_end(t, ProfKind::NormBwd);
-        grad_in
-    }
-
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 5, "groupnorm batch expects [c, b, d1, d2, d3]");
-        assert_eq!(s[0], self.channels, "groupnorm channel mismatch");
-        let bsz = s[1];
-        let spatial: usize = s[2..].iter().product();
-        let per_group = self.channels / self.groups;
-        let group_len = per_group * spatial;
-
-        // Per-(sample, group) statistics. The batched layout strides a
-        // sample's group across channels, so iterate channels ascending
-        // then positions ascending — the exact element order of the
-        // contiguous single-sample slice, keeping each single-accumulator
-        // sum bitwise identical to the sequential pass.
-        let mut x_hat = ws.alloc(s);
-        let mut inv_std = std::mem::take(&mut self.spare_inv);
-        inv_std.clear();
-        inv_std.resize(bsz * self.groups, 0.0);
+        let mut x_hat = ws.alloc(x.shape());
+        let mut inv_std = ws.alloc(&[bsz * self.groups]);
         let data = x.data();
         for b in 0..bsz {
             for g in 0..self.groups {
@@ -256,7 +102,7 @@ impl Layer for GroupNorm {
                     }
                 }
                 let is = 1.0 / (var_sum / group_len as f32 + self.eps).sqrt();
-                inv_std[b * self.groups + g] = is;
+                inv_std.data_mut()[b * self.groups + g] = is;
                 for cl in 0..per_group {
                     let base = ((g * per_group + cl) * bsz + b) * spatial;
                     let dst = &mut x_hat.data_mut()[base..base + spatial];
@@ -268,7 +114,7 @@ impl Layer for GroupNorm {
         }
         // y = gamma[c] * x_hat + beta[c]: per-channel blocks stay
         // contiguous (all samples back to back) in the batched layout.
-        let mut y = ws.alloc(s);
+        let mut y = ws.alloc(x.shape());
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
         let cblk = bsz * spatial;
@@ -280,27 +126,29 @@ impl Layer for GroupNorm {
                 *o = gamma[c] * v + beta[c];
             }
         }
-        if ws.training() {
-            self.cache = Some(NormCache { x_hat, inv_std });
+        let cache = if want_cache {
+            Some(NormCache { x_hat, inv_std })
         } else {
             ws.free(x_hat);
-            self.spare_inv = inv_std;
-            self.cache = None;
-        }
+            ws.free(inv_std);
+            None
+        };
         ws.prof_end(t, ProfKind::NormFwd);
-        y
+        (y, cache)
     }
 
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+    /// The backward body behind [`Layer::backward_in`].
+    pub(crate) fn backward_core(
+        &mut self,
+        cache: Option<NormCache>,
+        grad_out: Tensor,
+        ws: &mut NnWorkspace,
+    ) -> Tensor {
         let t = ws.prof_start();
-        let cache = self
-            .cache
-            .take()
-            .expect("groupnorm backward without forward");
-        let s = grad_out.shape();
-        assert_eq!(s.len(), 5, "groupnorm batch backward expects rank 5");
-        let bsz = s[1];
-        let spatial: usize = s[2..].iter().product();
+        let cache = cache.expect("groupnorm backward without forward");
+        let dims = Dims::of(grad_out.shape());
+        let bsz = dims.b;
+        let spatial = dims.spatial();
         let per_group = self.channels / self.groups;
         let group_len = per_group * spatial;
 
@@ -323,9 +171,11 @@ impl Layer for GroupNorm {
         }
 
         // Input gradient per (sample, group), channels-ascending element
-        // order as in the forward pass.
+        // order as in the forward pass:
+        // dx = (inv_std / N) * (N * dxhat - sum(dxhat) - x_hat * sum(dxhat * x_hat))
+        // where dxhat = g_out * gamma[c].
         let gamma = self.gamma.value.data();
-        let mut grad_in = ws.alloc(&[self.channels, bsz, s[2], s[3], s[4]]);
+        let mut grad_in = ws.alloc(grad_out.shape());
         let mut dxhat = std::mem::take(&mut ws.dxhat);
         dxhat.clear();
         dxhat.resize(group_len, 0.0);
@@ -344,7 +194,7 @@ impl Layer for GroupNorm {
                     }
                 }
                 let n = group_len as f32;
-                let is = cache.inv_std[b * self.groups + g];
+                let is = cache.inv_std.data()[b * self.groups + g];
                 for cl in 0..per_group {
                     let base = ((g * per_group + cl) * bsz + b) * spatial;
                     for i in 0..spatial {
@@ -358,10 +208,23 @@ impl Layer for GroupNorm {
         }
         ws.dxhat = dxhat;
         ws.free(cache.x_hat);
-        self.spare_inv = cache.inv_std;
+        ws.free(cache.inv_std);
         ws.free(grad_out);
         ws.prof_end(t, ProfKind::NormBwd);
         grad_in
+    }
+}
+
+impl Layer for GroupNorm {
+    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let (y, cache) = self.forward_core(x, ws, true);
+        self.cache = cache;
+        y
+    }
+
+    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let cache = self.cache.take();
+        self.backward_core(cache, grad_out, ws)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -379,7 +242,7 @@ mod tests {
     fn output_is_normalized_per_group() {
         let mut gn = GroupNorm::new(4, 2);
         let x = Initializer::new(1).uniform(&[4, 3, 2, 1], 5.0);
-        let y = gn.forward(&x);
+        let y = gn.forward_in(&x, &mut NnWorkspace::new());
         // Each group of 2 channels x 6 positions has ~zero mean, ~unit var.
         let spatial = 6;
         for g in 0..2 {
@@ -399,7 +262,7 @@ mod tests {
         gn.gamma.value.data_mut()[1] = 0.5;
         gn.beta.value.data_mut()[1] = 3.0;
         let x = Initializer::new(2).uniform(&[2, 2, 2, 1], 1.0);
-        let y = gn.forward(&x);
+        let y = gn.forward_in(&x, &mut NnWorkspace::new());
         // Channel 1 (spatial size 4) values cluster around beta = 3.
         let c1: f32 = y.data()[4..8].iter().sum::<f32>() / 4.0;
         assert!((c1 - 3.0).abs() < 1.0, "channel-1 mean {c1}");
@@ -420,19 +283,20 @@ mod tests {
     fn single_group_is_layer_norm() {
         let mut gn = GroupNorm::new(3, 1);
         let x = Initializer::new(4).uniform(&[3, 2, 1, 1], 2.0);
-        let y = gn.forward(&x);
+        let y = gn.forward_in(&x, &mut NnWorkspace::new());
         let mean: f32 = y.data().iter().sum::<f32>() / y.len() as f32;
         assert!(mean.abs() < 1e-4);
     }
 
     #[test]
-    fn workspace_path_matches_legacy_bitwise() {
+    fn reused_workspace_matches_fresh_bitwise() {
         let mut a = GroupNorm::new(4, 2);
         let mut b = a.clone();
         let x = Initializer::new(9).uniform(&[4, 3, 2, 2], 2.0);
         let g = Initializer::new(10).uniform(&[4, 3, 2, 2], 1.0);
-        let y_legacy = a.forward(&x);
-        let gi_legacy = a.backward(&g);
+        let mut fresh = NnWorkspace::new();
+        let y_legacy = a.forward_in(&x, &mut fresh);
+        let gi_legacy = a.backward_in(fresh.alloc_copy(&g), &mut fresh);
         let mut ws = NnWorkspace::new();
         for _ in 0..2 {
             b.zero_grad();

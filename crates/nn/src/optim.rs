@@ -4,7 +4,9 @@
 //! a layer reports its parameters (which is deterministic for every layer in
 //! this crate), so they can be applied to any [`Layer`].
 
+use crate::error::NnError;
 use crate::layer::Layer;
+use crate::serialize::{read_f32s, read_u64};
 
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
@@ -115,35 +117,55 @@ impl Adam {
         Ok(())
     }
 
-    /// Restores state saved by [`Adam::save_state`].
+    /// Restores state saved by [`Adam::save_state`] for the parameters of
+    /// `layer`.
+    ///
+    /// Nothing in the file sizes an allocation: the moment count must be 0
+    /// (no step taken yet) or `layer`'s parameter count, and each moment
+    /// length must equal its parameter's, checked before the vector is
+    /// allocated. The state changes only if all of it reads.
     ///
     /// # Errors
     ///
-    /// Returns an error on read failure or truncation.
-    pub fn load_state<R: std::io::Read>(&mut self, mut reader: R) -> std::io::Result<()> {
-        let mut b8 = [0u8; 8];
-        reader.read_exact(&mut b8)?;
-        self.t = u64::from_le_bytes(b8);
-        reader.read_exact(&mut b8)?;
-        let count = u64::from_le_bytes(b8) as usize;
-        let read_group = |reader: &mut R| -> std::io::Result<Vec<Vec<f32>>> {
-            let mut group = Vec::with_capacity(count);
-            for _ in 0..count {
-                let mut b8 = [0u8; 8];
-                reader.read_exact(&mut b8)?;
-                let len = u64::from_le_bytes(b8) as usize;
-                let mut vec = vec![0.0f32; len];
-                for x in &mut vec {
-                    let mut b4 = [0u8; 4];
-                    reader.read_exact(&mut b4)?;
-                    *x = f32::from_le_bytes(b4);
+    /// [`NnError::Io`] on read failure or truncation;
+    /// [`NnError::BadModelFile`] if the stored moments do not match
+    /// `layer`'s parameters.
+    pub fn load_state<L: Layer + ?Sized, R: std::io::Read>(
+        &mut self,
+        layer: &mut L,
+        mut reader: R,
+    ) -> Result<(), NnError> {
+        let t = read_u64(&mut reader)?;
+        let count = read_u64(&mut reader)?;
+        let lens: Vec<usize> = layer.params_mut().iter().map(|p| p.value.len()).collect();
+        if count != 0 && count != lens.len() as u64 {
+            return Err(NnError::BadModelFile(format!(
+                "optimizer state stores {count} moment vectors but the layer has {} parameters",
+                lens.len()
+            )));
+        }
+        let lens = &lens[..count as usize];
+        let mut groups = [
+            Vec::with_capacity(lens.len()),
+            Vec::with_capacity(lens.len()),
+        ];
+        for group in &mut groups {
+            for (i, &len) in lens.iter().enumerate() {
+                let stored = read_u64(&mut reader)?;
+                if stored != len as u64 {
+                    return Err(NnError::BadModelFile(format!(
+                        "optimizer moment {i} stores {stored} values but the parameter has {len}"
+                    )));
                 }
-                group.push(vec);
+                let mut moment = vec![0.0f32; len];
+                read_f32s(&mut reader, &mut moment)?;
+                group.push(moment);
             }
-            Ok(group)
-        };
-        self.m = read_group(&mut reader)?;
-        self.v = read_group(&mut reader)?;
+        }
+        let [m, v] = groups;
+        self.t = t;
+        self.m = m;
+        self.v = v;
         Ok(())
     }
 
@@ -182,6 +204,7 @@ mod tests {
     use super::*;
     use crate::layer::{Layer, Param};
     use crate::tensor::Tensor;
+    use crate::workspace::NnWorkspace;
 
     /// A quadratic bowl: loss = (w - 3)^2 with dL/dw = 2(w - 3).
     struct Bowl {
@@ -205,11 +228,11 @@ mod tests {
     }
 
     impl Layer for Bowl {
-        fn forward(&mut self, x: &Tensor) -> Tensor {
+        fn forward_in(&mut self, x: &Tensor, _ws: &mut NnWorkspace) -> Tensor {
             x.clone()
         }
-        fn backward(&mut self, g: &Tensor) -> Tensor {
-            g.clone()
+        fn backward_in(&mut self, g: Tensor, _ws: &mut NnWorkspace) -> Tensor {
+            g
         }
         fn params_mut(&mut self) -> Vec<&mut Param> {
             vec![&mut self.w]
@@ -279,7 +302,7 @@ mod tests {
             let mut bytes = Vec::new();
             opt.save_state(&mut bytes).unwrap();
             let mut opt2 = Adam::new(0.1);
-            opt2.load_state(bytes.as_slice()).unwrap();
+            opt2.load_state(&mut bowl, bytes.as_slice()).unwrap();
             for _ in 0..10 {
                 bowl.zero_grad();
                 bowl.compute_grad();
@@ -298,5 +321,39 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.0);
         sgd.set_lr(0.5);
         assert_eq!(sgd.lr(), 0.5);
+    }
+
+    /// Moment counts and lengths come from the layer, never the file: a
+    /// corrupt header is a typed error before any allocation, and the
+    /// optimizer keeps its state.
+    #[test]
+    fn adam_state_rejects_sizes_that_do_not_match_the_layer() {
+        let mut bowl = Bowl::new(0.0);
+        let mut opt = Adam::new(0.1);
+        bowl.compute_grad();
+        opt.step(&mut bowl);
+        let mut bytes = Vec::new();
+        opt.save_state(&mut bytes).unwrap();
+        // Layout: t (8), count (8), then per moment: len (8) + data.
+        let corrupt = |at: usize, value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            b
+        };
+        for (at, what) in [(8, "count"), (16, "moment length")] {
+            let mut fresh = Adam::new(0.1);
+            let err = fresh
+                .load_state(&mut bowl, corrupt(at, u64::MAX).as_slice())
+                .unwrap_err();
+            assert!(matches!(err, NnError::BadModelFile(_)), "{what}: {err}");
+            assert_eq!((fresh.t, fresh.m.len()), (0, 0), "{what}: state untouched");
+        }
+        // A truncated state is an I/O error, also leaving the state alone.
+        let mut resumed = opt.clone();
+        let err = resumed
+            .load_state(&mut bowl, &bytes[..bytes.len() - 1])
+            .unwrap_err();
+        assert!(matches!(err, NnError::Io(_)));
+        assert_eq!(resumed.m, opt.m);
     }
 }

@@ -6,7 +6,7 @@
 //! [`upsample`](crate::upsample)-to-target-shape on the decoder side, this
 //! is what lets the network consume Hanan graphs of any `H × V × M`.
 
-use crate::layer::Layer;
+use crate::layer::{Dims, Layer};
 use crate::tensor::Tensor;
 use crate::workspace::{NnWorkspace, ProfKind};
 
@@ -14,15 +14,16 @@ use crate::workspace::{NnWorkspace, ProfKind};
 #[derive(Debug, Clone, Default)]
 pub struct MaxPool3d {
     cache: Option<PoolCache>,
-    /// Retired cache storage, recycled across forward/backward cycles.
-    spare: Option<PoolCache>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct PoolCache {
-    in_shape: Vec<usize>,
-    /// For each output element, the linear input index of its maximum.
-    argmax: Vec<u32>,
+/// The backward cache of one pooling forward.
+#[derive(Debug, Clone)]
+pub(crate) struct PoolCache {
+    in_dims: Dims,
+    /// Per output element, the position `4·dx + 2·dy + dz` of its maximum
+    /// inside its window (small integers, exact in `f32`, so the cache is
+    /// an ordinary pool tensor).
+    arg: Tensor,
 }
 
 /// Pooled size of one axis.
@@ -37,75 +38,88 @@ impl MaxPool3d {
         MaxPool3d::default()
     }
 
-    /// Shared forward over any rank (the trailing three axes pool, leading
-    /// axes pass through), recording the backward cache.
-    fn forward_any(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    /// The forward body behind [`Layer::forward_in`] and the inference
+    /// path: pools the trailing three axes, returning the argmax cache only
+    /// when `want_cache`.
+    pub(crate) fn forward_core(
+        x: &Tensor,
+        ws: &mut NnWorkspace,
+        want_cache: bool,
+    ) -> (Tensor, Option<PoolCache>) {
         let t = ws.prof_start();
-        let (ps, pn) = pooled_shape(x.shape());
-        let mut out = ws.alloc(&ps[..pn]);
-        // `spare` is refilled by backward; inference-only callers never run
-        // one, so recycle the previous forward's cache storage instead of
-        // dropping it (both vectors are fully overwritten below).
-        let mut cache = self
-            .spare
-            .take()
-            .or_else(|| self.cache.take())
-            .unwrap_or_default();
-        cache.in_shape.clear();
-        cache.in_shape.extend_from_slice(x.shape());
-        cache.argmax.clear();
-        cache.argmax.resize(out.len(), 0);
-        pool_core(x.data(), x.shape(), out.data_mut(), Some(&mut cache.argmax));
-        self.cache = Some(cache);
+        let in_dims = Dims::of(x.shape());
+        let [d1, d2, d3] = in_dims.d;
+        let out_dims = in_dims.with(in_dims.c, [pooled(d1), pooled(d2), pooled(d3)]);
+        let mut out = out_dims.alloc(ws);
+        let cache = if want_cache {
+            let mut arg = out_dims.alloc(ws);
+            pool_core(x.data(), in_dims, out.data_mut(), Some(arg.data_mut()));
+            Some(PoolCache { in_dims, arg })
+        } else {
+            pool_core(x.data(), in_dims, out.data_mut(), None);
+            None
+        };
         ws.prof_end(t, ProfKind::PoolFwd);
-        out
+        (out, cache)
     }
 
-    /// Stateless pooling apply for the shared-selector inference path: same
-    /// kernel as [`Layer::forward_in`] without recording an argmax cache.
-    /// Works on rank-4 and (channel-major) rank-5 inputs alike.
-    pub fn infer_apply(x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+    /// The backward body behind [`Layer::backward_in`]: routes each output
+    /// gradient to its window's maximum. Windows are disjoint, so every
+    /// input cell receives at most one term — no accumulation order to
+    /// keep, whatever the batch size.
+    pub(crate) fn backward_core(
+        cache: Option<PoolCache>,
+        grad_out: Tensor,
+        ws: &mut NnWorkspace,
+    ) -> Tensor {
         let t = ws.prof_start();
-        let (ps, pn) = pooled_shape(x.shape());
-        let mut out = ws.alloc(&ps[..pn]);
-        pool_core(x.data(), x.shape(), out.data_mut(), None);
-        ws.prof_end(t, ProfKind::PoolFwd);
-        out
+        let cache = cache.expect("maxpool backward without forward");
+        assert_eq!(grad_out.len(), cache.arg.len());
+        let mut grad_in = cache.in_dims.alloc(ws);
+        let [d1, d2, d3] = cache.in_dims.d;
+        let (o1, o2, o3) = (pooled(d1), pooled(d2), pooled(d3));
+        let spatial = cache.in_dims.spatial();
+        let (g, arg, gi) = (grad_out.data(), cache.arg.data(), grad_in.data_mut());
+        let mut oi = 0;
+        for ci in 0..cache.in_dims.c * cache.in_dims.b {
+            for x1 in 0..o1 {
+                for y in 0..o2 {
+                    for z in 0..o3 {
+                        let at = arg[oi] as usize;
+                        let (ix, iy, iz) = (
+                            2 * x1 + (at >> 2),
+                            2 * y + ((at >> 1) & 1),
+                            2 * z + (at & 1),
+                        );
+                        gi[ci * spatial + (ix * d2 + iy) * d3 + iz] += g[oi];
+                        oi += 1;
+                    }
+                }
+            }
+        }
+        ws.free(cache.arg);
+        ws.free(grad_out);
+        ws.prof_end(t, ProfKind::PoolBwd);
+        grad_in
     }
-}
-
-/// Output shape of one pooling step: trailing three axes halve (ceil mode),
-/// leading channel (and batch) axes pass through. Returned on the stack
-/// (fixed rank ≤ 5) so the warm inference loop stays allocation-free.
-fn pooled_shape(s: &[usize]) -> ([usize; 5], usize) {
-    let n = s.len();
-    let mut out = [0usize; 5];
-    out[..n].copy_from_slice(s);
-    for d in &mut out[n - 3..n] {
-        *d = pooled(*d);
-    }
-    (out, n)
 }
 
 /// The pooling kernel over the trailing three spatial axes; every leading
-/// axis is an independent volume (`c` for rank-4, `c·b` channel-major for
-/// rank-5, making the batched pass per-sample bit-identical for free).
-/// `argmax`, when recording, receives the **absolute** linear input index
-/// of each output's maximum, so the backward scatter is layout-agnostic.
-fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut Vec<u32>>) {
-    let n = s.len();
-    let c_eff: usize = s[..n - 3].iter().product();
-    let (d1, d2, d3) = (s[n - 3], s[n - 2], s[n - 1]);
+/// `(c, b)` pair is an independent volume (channel-major keeps each
+/// sample's volume contiguous), so batching cannot change a bit. `arg`,
+/// when recording, receives each maximum's position in its window.
+fn pool_core(xd: &[f32], dims: Dims, out: &mut [f32], mut arg: Option<&mut [f32]>) {
+    let [d1, d2, d3] = dims.d;
     let (o1, o2, o3) = (pooled(d1), pooled(d2), pooled(d3));
-    let spatial = d1 * d2 * d3;
+    let spatial = dims.spatial();
     let mut oi = 0;
-    for ci in 0..c_eff {
+    for ci in 0..dims.c * dims.b {
         let base = ci * spatial;
         for x1 in 0..o1 {
             for y in 0..o2 {
                 for z in 0..o3 {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    let mut best_at = 0usize;
                     for dx in 0..2 {
                         let ix = x1 * 2 + dx;
                         if ix >= d1 {
@@ -121,18 +135,17 @@ fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut V
                                 if iz >= d3 {
                                     continue;
                                 }
-                                let idx = base + (ix * d2 + iy) * d3 + iz;
-                                let v = xd[idx];
+                                let v = xd[base + (ix * d2 + iy) * d3 + iz];
                                 if v > best {
                                     best = v;
-                                    best_idx = idx;
+                                    best_at = 4 * dx + 2 * dy + dz;
                                 }
                             }
                         }
                     }
                     out[oi] = best;
-                    if let Some(am) = argmax.as_deref_mut() {
-                        am[oi] = best_idx as u32;
+                    if let Some(a) = arg.as_deref_mut() {
+                        a[oi] = best_at as f32;
                     }
                     oi += 1;
                 }
@@ -142,52 +155,14 @@ fn pool_core(xd: &[f32], s: &[usize], out: &mut [f32], mut argmax: Option<&mut V
 }
 
 impl Layer for MaxPool3d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
     fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "maxpool expects [c, d1, d2, d3]");
-        self.forward_any(x, ws)
+        let (y, cache) = MaxPool3d::forward_core(x, ws, true);
+        self.cache = cache;
+        y
     }
 
     fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let cache = self.cache.take().expect("maxpool backward without forward");
-        assert_eq!(grad_out.len(), cache.argmax.len());
-        let mut grad_in = ws.alloc(&cache.in_shape);
-        for (oi, &src) in cache.argmax.iter().enumerate() {
-            grad_in.data_mut()[src as usize] += grad_out.data()[oi];
-        }
-        self.spare = Some(cache);
-        ws.free(grad_out);
-        ws.prof_end(t, ProfKind::PoolBwd);
-        grad_in
-    }
-
-    // Batched `[c, b, d1, d2, d3]` pooling is the rank-4 kernel with
-    // `c·b` leading volumes (channel-major keeps each sample's volume
-    // contiguous); the absolute argmax indices make the backward scatter
-    // identical in both layouts. Windows are disjoint, so there is no
-    // accumulation-order question — per-sample bit identity is structural.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(
-            x.shape().len(),
-            5,
-            "maxpool batch expects [c, b, d1, d2, d3]"
-        );
-        self.forward_any(x, ws)
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
+        MaxPool3d::backward_core(self.cache.take(), grad_out, ws)
     }
 }
 
@@ -208,7 +183,8 @@ mod tests {
     fn pools_maxima_per_window() {
         let x = Tensor::from_fn4(&[1, 2, 2, 2], |_, a, b, c| (a * 4 + b * 2 + c) as f32);
         let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = p.forward_in(&x, &mut ws);
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.data()[0], 7.0);
     }
@@ -217,7 +193,8 @@ mod tests {
     fn odd_axes_keep_tail_windows() {
         let x = Tensor::from_fn4(&[1, 3, 1, 1], |_, a, _, _| a as f32);
         let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = p.forward_in(&x, &mut ws);
         assert_eq!(y.shape(), &[1, 2, 1, 1]);
         assert_eq!(y.data(), &[1.0, 2.0]);
     }
@@ -226,9 +203,10 @@ mod tests {
     fn backward_routes_gradient_to_argmax() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![3.0, 5.0]).unwrap();
         let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = p.forward_in(&x, &mut ws);
         assert_eq!(y.data(), &[5.0]);
-        let g = p.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]).unwrap());
+        let g = p.backward_in(Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]).unwrap(), &mut ws);
         assert_eq!(g.data(), &[0.0, 2.0]);
     }
 
@@ -236,8 +214,31 @@ mod tests {
     fn size_one_axes_pass_through() {
         let x = Tensor::from_fn4(&[2, 1, 1, 1], |c, _, _, _| c as f32);
         let mut p = MaxPool3d::new();
-        let y = p.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = p.forward_in(&x, &mut ws);
         assert_eq!(y.shape(), &[2, 1, 1, 1]);
         assert_eq!(y.data(), x.data());
+    }
+
+    #[test]
+    fn backward_finds_maxima_in_every_window_position_and_batch_slot() {
+        // [c=1, b=2, 3, 3, 3]: odd axes give clipped tail windows.
+        let x = crate::init::Initializer::new(5).uniform(&[1, 2, 3, 3, 3], 1.0);
+        let mut p = MaxPool3d::new();
+        let mut ws = NnWorkspace::new();
+        let y = p.forward_in(&x, &mut ws);
+        assert_eq!(y.shape(), &[1, 2, 2, 2, 2]);
+        let g = p.backward_in(ws.alloc_copy(&y), &mut ws);
+        // Every maximum receives its own value back, everything else 0.
+        for (i, &gv) in g.data().iter().enumerate() {
+            let v = x.data()[i];
+            assert!(gv == 0.0 || gv == v, "cell {i}: {gv} vs {v}");
+        }
+        assert_eq!(
+            g.data().iter().filter(|&&v| v != 0.0).count(),
+            y.len(),
+            "one maximum per window"
+        );
+        assert_eq!(g.sum(), y.sum());
     }
 }

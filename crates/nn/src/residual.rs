@@ -5,7 +5,7 @@ use crate::activation::Relu;
 use crate::conv3d::Conv3d;
 use crate::init::Initializer;
 use crate::layer::{Layer, Param};
-use crate::norm::GroupNorm;
+use crate::norm::{GroupNorm, NormCache};
 use crate::tensor::Tensor;
 use crate::workspace::NnWorkspace;
 
@@ -18,12 +18,23 @@ use crate::workspace::NnWorkspace;
 pub struct ResidualBlock {
     conv1: Conv3d,
     norm1: Option<GroupNorm>,
-    relu1: Relu,
     conv2: Conv3d,
     norm2: Option<GroupNorm>,
-    relu_out: Relu,
     projection: Option<Conv3d>,
-    forward_ran: bool,
+    cache: Option<ResCache>,
+}
+
+/// The backward cache of one residual-block forward: one entry per
+/// sublayer, in dataflow order.
+#[derive(Debug, Clone)]
+pub(crate) struct ResCache {
+    conv1: Option<Tensor>,
+    norm1: Option<NormCache>,
+    relu1: Option<Tensor>,
+    conv2: Option<Tensor>,
+    norm2: Option<NormCache>,
+    projection: Option<Tensor>,
+    relu_out: Option<Tensor>,
 }
 
 impl ResidualBlock {
@@ -33,12 +44,10 @@ impl ResidualBlock {
         ResidualBlock {
             conv1: Conv3d::new(in_c, out_c, k, init),
             norm1: None,
-            relu1: Relu::new(),
             conv2: Conv3d::new(out_c, out_c, k, init),
             norm2: None,
-            relu_out: Relu::new(),
             projection: (in_c != out_c).then(|| Conv3d::new(in_c, out_c, 1, init)),
-            forward_ran: false,
+            cache: None,
         }
     }
 
@@ -66,43 +75,6 @@ impl ResidualBlock {
         self.conv2.out_channels()
     }
 
-    /// Cache-free `&self` forward for the shared-selector inference path
-    /// (rank-4 single-sample only; the ReLUs clamp inline — the same
-    /// `max(0, ·)` per element as `forward_owned`, without masks).
-    /// Bit-identical to [`Layer::forward_in`].
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.infer_in(x, ws);
-        if let Some(n) = &self.norm1 {
-            let y = n.infer_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        for v in h.data_mut() {
-            *v = v.max(0.0);
-        }
-        let y = self.conv2.infer_in(&h, ws);
-        ws.free(h);
-        h = y;
-        if let Some(n) = &self.norm2 {
-            let y = n.infer_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        let mut sum = h;
-        match &self.projection {
-            Some(proj) => {
-                let skip = proj.infer_in(x, ws);
-                sum.add_assign(&skip);
-                ws.free(skip);
-            }
-            None => sum.add_assign(x),
-        }
-        for v in sum.data_mut() {
-            *v = v.max(0.0);
-        }
-        sum
-    }
-
     /// Routes every convolution through the naive reference loops
     /// (bit-identity oracle; see [`Conv3d::set_naive`]).
     #[cfg(any(test, feature = "naive-ref"))]
@@ -113,126 +85,97 @@ impl ResidualBlock {
             proj.set_naive(on);
         }
     }
-}
 
-impl Layer for ResidualBlock {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.forward_in(x, ws);
-        if let Some(n) = &mut self.norm1 {
-            let y = n.forward_in(&h, ws);
+    /// The forward body behind [`Layer::forward_in`] and the inference
+    /// path: every sublayer's forward body, their caches collected only
+    /// when `want_cache`. The elementwise add and ReLUs are
+    /// layout-agnostic.
+    pub(crate) fn forward_core(
+        &self,
+        x: &Tensor,
+        ws: &mut NnWorkspace,
+        want_cache: bool,
+    ) -> (Tensor, Option<ResCache>) {
+        let (mut h, conv1) = self.conv1.forward_core(x, ws, want_cache);
+        let mut norm1 = None;
+        if let Some(n) = &self.norm1 {
+            let (y, c) = n.forward_core(&h, ws, want_cache);
             ws.free(h);
-            h = y;
+            (h, norm1) = (y, c);
         }
-        h = self.relu1.forward_owned(h, ws);
-        let y = self.conv2.forward_in(&h, ws);
+        let (h, relu1) = Relu::forward_core(h, ws, want_cache);
+        let (mut sum, conv2) = self.conv2.forward_core(&h, ws, want_cache);
         ws.free(h);
-        h = y;
-        if let Some(n) = &mut self.norm2 {
-            let y = n.forward_in(&h, ws);
-            ws.free(h);
-            h = y;
+        let mut norm2 = None;
+        if let Some(n) = &self.norm2 {
+            let (y, c) = n.forward_core(&sum, ws, want_cache);
+            ws.free(sum);
+            (sum, norm2) = (y, c);
         }
-        let mut sum = h;
-        match &mut self.projection {
+        let mut projection = None;
+        match &self.projection {
             Some(proj) => {
-                let skip = proj.forward_in(x, ws);
+                let (skip, c) = proj.forward_core(x, ws, want_cache);
                 sum.add_assign(&skip);
                 ws.free(skip);
+                projection = c;
             }
             None => sum.add_assign(x),
         }
-        self.forward_ran = true;
-        self.relu_out.forward_owned(sum, ws)
+        let (y, relu_out) = Relu::forward_core(sum, ws, want_cache);
+        let cache = want_cache.then_some(ResCache {
+            conv1,
+            norm1,
+            relu1,
+            conv2,
+            norm2,
+            projection,
+            relu_out,
+        });
+        (y, cache)
     }
 
-    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "residual backward without forward");
-        self.forward_ran = false;
-        let grad_sum = self.relu_out.backward_in(grad_out, ws);
+    /// The backward body behind [`Layer::backward_in`].
+    pub(crate) fn backward_core(
+        &mut self,
+        cache: Option<ResCache>,
+        grad_out: Tensor,
+        ws: &mut NnWorkspace,
+    ) -> Tensor {
+        let c = cache.expect("residual backward without forward");
+        let grad_sum = Relu::backward_core(c.relu_out, grad_out, ws);
         // Main branch.
         let mut g = ws.alloc_copy(&grad_sum);
         if let Some(n) = &mut self.norm2 {
-            g = n.backward_in(g, ws);
+            g = n.backward_core(c.norm2, g, ws);
         }
-        g = self.conv2.backward_in(g, ws);
-        g = self.relu1.backward_in(g, ws);
+        g = self.conv2.backward_core(c.conv2, g, ws);
+        g = Relu::backward_core(c.relu1, g, ws);
         if let Some(n) = &mut self.norm1 {
-            g = n.backward_in(g, ws);
+            g = n.backward_core(c.norm1, g, ws);
         }
-        let mut g_main = self.conv1.backward_in(g, ws);
+        let mut g_main = self.conv1.backward_core(c.conv1, g, ws);
         // Skip branch.
         let g_skip = match &mut self.projection {
-            Some(proj) => proj.backward_in(grad_sum, ws),
+            Some(proj) => proj.backward_core(c.projection, grad_sum, ws),
             None => grad_sum,
         };
         g_main.add_assign(&g_skip);
         ws.free(g_skip);
         g_main
     }
+}
 
-    // Batched passes: the same dataflow with every sublayer's batched
-    // variant (elementwise add/ReLU are layout-agnostic).
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let mut h = self.conv1.forward_batch_in(x, ws);
-        if let Some(n) = &mut self.norm1 {
-            let y = n.forward_batch_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        h = self.relu1.forward_owned(h, ws);
-        let y = self.conv2.forward_batch_in(&h, ws);
-        ws.free(h);
-        h = y;
-        if let Some(n) = &mut self.norm2 {
-            let y = n.forward_batch_in(&h, ws);
-            ws.free(h);
-            h = y;
-        }
-        let mut sum = h;
-        match &mut self.projection {
-            Some(proj) => {
-                let skip = proj.forward_batch_in(x, ws);
-                sum.add_assign(&skip);
-                ws.free(skip);
-            }
-            None => sum.add_assign(x),
-        }
-        self.forward_ran = true;
-        self.relu_out.forward_owned(sum, ws)
+impl Layer for ResidualBlock {
+    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let (y, cache) = self.forward_core(x, ws, true);
+        self.cache = cache;
+        y
     }
 
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "residual backward without forward");
-        self.forward_ran = false;
-        let grad_sum = self.relu_out.backward_in(grad_out, ws);
-        let mut g = ws.alloc_copy(&grad_sum);
-        if let Some(n) = &mut self.norm2 {
-            g = n.backward_batch_in(g, ws);
-        }
-        g = self.conv2.backward_batch_in(g, ws);
-        g = self.relu1.backward_in(g, ws);
-        if let Some(n) = &mut self.norm1 {
-            g = n.backward_batch_in(g, ws);
-        }
-        let mut g_main = self.conv1.backward_batch_in(g, ws);
-        let g_skip = match &mut self.projection {
-            Some(proj) => proj.backward_batch_in(grad_sum, ws),
-            None => grad_sum,
-        };
-        g_main.add_assign(&g_skip);
-        ws.free(g_skip);
-        g_main
+    fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let cache = self.cache.take();
+        self.backward_core(cache, grad_out, ws)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -261,7 +204,10 @@ mod tests {
         let mut b = ResidualBlock::new(3, 3, 3, &mut Initializer::new(0));
         assert_eq!(b.params_mut().len(), 4); // two convs x (w, b)
         let x = Tensor::zeros(&[3, 2, 2, 2]);
-        assert_eq!(b.forward(&x).shape(), &[3, 2, 2, 2]);
+        assert_eq!(
+            b.forward_in(&x, &mut NnWorkspace::new()).shape(),
+            &[3, 2, 2, 2]
+        );
     }
 
     #[test]
@@ -269,7 +215,10 @@ mod tests {
         let mut b = ResidualBlock::new(2, 5, 3, &mut Initializer::new(0));
         assert_eq!(b.params_mut().len(), 6);
         let x = Tensor::zeros(&[2, 3, 2, 1]);
-        assert_eq!(b.forward(&x).shape(), &[5, 3, 2, 1]);
+        assert_eq!(
+            b.forward_in(&x, &mut NnWorkspace::new()).shape(),
+            &[5, 3, 2, 1]
+        );
     }
 
     #[test]
@@ -279,7 +228,7 @@ mod tests {
             p.value.fill(0.0);
         }
         let x = Tensor::from_fn4(&[2, 2, 2, 1], |c, a, bb, _| (c + a + bb) as f32 - 1.0);
-        let y = b.forward(&x);
+        let y = b.forward_in(&x, &mut NnWorkspace::new());
         // With zero main branch and identity skip, y = relu(x).
         for (yv, xv) in y.data().iter().zip(x.data()) {
             assert_eq!(*yv, xv.max(0.0));
@@ -335,8 +284,8 @@ mod tests {
             let mut wsb = NnWorkspace::new();
             let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
             let g5 = Tensor::stack_batch(&gs.iter().collect::<Vec<_>>());
-            let y5 = bat.forward_batch_in(&x5, &mut wsb);
-            let gi5 = bat.backward_batch_in(wsb.alloc_copy(&g5), &mut wsb);
+            let y5 = bat.forward_in(&x5, &mut wsb);
+            let gi5 = bat.backward_in(wsb.alloc_copy(&g5), &mut wsb);
 
             for b in 0..bsz {
                 assert_bits_eq(&y5.unstack_sample(b), &ys[b], &format!("B{bsz} y[{b}]"));
@@ -352,16 +301,17 @@ mod tests {
         }
     }
 
-    /// The `&self` inference path through a normed, projected block must
-    /// match the training forward bit for bit.
+    /// The inference route (`&self`, no cache) through a normed,
+    /// projected block must match the training forward bit for bit.
     #[test]
-    fn infer_in_matches_forward_bitwise() {
+    fn forward_core_without_cache_matches_forward_in() {
         let proto = ResidualBlock::new_normed(2, 4, 3, 2, &mut Initializer::new(51));
         let x = Initializer::new(52).uniform(&[2, 3, 2, 2], 1.0);
         let mut owned = proto.clone();
-        let y_ref = owned.forward(&x);
+        let y_ref = owned.forward_in(&x, &mut NnWorkspace::new());
         let mut ws = NnWorkspace::new();
-        let y = proto.infer_in(&x, &mut ws);
+        let (y, cache) = proto.forward_core(&x, &mut ws, false);
+        assert!(cache.is_none());
         assert_bits_eq(&y, &y_ref, "shared inference");
     }
 

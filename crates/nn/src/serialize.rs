@@ -45,10 +45,16 @@ pub fn save_params<L: Layer + ?Sized, W: Write>(
 /// Reads parameters from `reader` into a layer with the *same architecture*
 /// as the one that was saved.
 ///
+/// The load is all or nothing: every tensor is read and validated before
+/// the first one is written, so on `Err` the layer keeps its previous
+/// weights. Sizes are never taken from the file: each stored shape must
+/// equal the layer's own before its data is read, which bounds the staging
+/// buffer by the layer's parameter count.
+///
 /// # Errors
 ///
-/// * [`NnError::Io`] on read failure,
-/// * [`NnError::BadModelFile`] on a wrong magic/version,
+/// * [`NnError::Io`] on read failure (including truncation),
+/// * [`NnError::BadModelFile`] on a wrong magic/version or tensor count,
 /// * [`NnError::ShapeMismatch`] if the stored tensors do not match the
 ///   layer's parameters.
 pub fn load_params<L: Layer + ?Sized, R: Read>(
@@ -66,41 +72,38 @@ pub fn load_params<L: Layer + ?Sized, R: Read>(
             "unsupported version {version}"
         )));
     }
-    let count = read_u64(&mut reader)? as usize;
+    let count = read_u64(&mut reader)?;
     let mut params = layer.params_mut();
-    if count != params.len() {
+    if count != params.len() as u64 {
         return Err(NnError::BadModelFile(format!(
             "model stores {count} tensors but the layer has {}",
             params.len()
         )));
     }
-    // Never trust sizes from the file: a corrupted header must produce an
-    // error, not a huge allocation.
-    const MAX_RANK: usize = 8;
-    for p in params.iter_mut() {
-        let rank = read_u64(&mut reader)? as usize;
+    const MAX_RANK: u64 = 8;
+    let mut staged = Vec::with_capacity(params.len());
+    for p in &params {
+        let rank = read_u64(&mut reader)?;
         if rank > MAX_RANK {
             return Err(NnError::BadModelFile(format!("implausible rank {rank}")));
         }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let d = read_u64(&mut reader)? as usize;
-            if d == 0 || d > (1 << 32) {
-                return Err(NnError::BadModelFile(format!("implausible dimension {d}")));
-            }
-            shape.push(d);
+        let mut shape = [0usize; MAX_RANK as usize];
+        for d in &mut shape[..rank as usize] {
+            *d = usize::try_from(read_u64(&mut reader)?).unwrap_or(usize::MAX);
         }
+        let shape = &shape[..rank as usize];
         if shape != p.value.shape() {
             return Err(NnError::ShapeMismatch {
                 expected: p.value.shape().to_vec(),
-                found: shape,
+                found: shape.to_vec(),
             });
         }
-        for v in p.value.data_mut() {
-            let mut buf = [0u8; 4];
-            reader.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
+        let mut data = vec![0.0f32; p.value.len()];
+        read_f32s(&mut reader, &mut data)?;
+        staged.push(data);
+    }
+    for (p, data) in params.iter_mut().zip(staged) {
+        p.value.data_mut().copy_from_slice(&data);
     }
     Ok(())
 }
@@ -138,10 +141,21 @@ fn read_u32<R: Read>(reader: &mut R) -> Result<u32, NnError> {
     Ok(u32::from_le_bytes(buf))
 }
 
-fn read_u64<R: Read>(reader: &mut R) -> Result<u64, NnError> {
+/// Reads one little-endian `u64`.
+pub(crate) fn read_u64<R: Read>(reader: &mut R) -> Result<u64, NnError> {
     let mut buf = [0u8; 8];
     reader.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
+}
+
+/// Fills `out` with little-endian `f32`s.
+pub(crate) fn read_f32s<R: Read>(reader: &mut R, out: &mut [f32]) -> Result<(), NnError> {
+    let mut buf = [0u8; 4];
+    for v in out {
+        reader.read_exact(&mut buf)?;
+        *v = f32::from_le_bytes(buf);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -150,6 +164,7 @@ mod tests {
     use crate::init::Initializer;
     use crate::tensor::Tensor;
     use crate::unet::{UNet3d, UNetConfig};
+    use crate::workspace::NnWorkspace;
 
     fn cfg(seed: u64) -> UNetConfig {
         UNetConfig {
@@ -170,8 +185,8 @@ mod tests {
         load_params(&mut dst, bytes.as_slice()).unwrap();
 
         let x = Initializer::new(1).uniform(&[2, 3, 3, 2], 1.0);
-        let ys = src.predict(&x);
-        let yd = dst.predict(&x);
+        let ys = src.infer_in(&x, &mut NnWorkspace::new());
+        let yd = dst.infer_in(&x, &mut NnWorkspace::new());
         assert_eq!(ys, yd, "loaded network must reproduce saved outputs");
     }
 
@@ -186,16 +201,36 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_is_an_io_error() {
-        let mut src = UNet3d::new(cfg(7));
+    fn truncated_file_is_an_io_error_and_leaves_the_weights() {
+        // The selector architecture: half a blob covers its first tensors.
+        let selector = |seed| UNetConfig {
+            in_channels: 7,
+            base_channels: 4,
+            levels: 2,
+            seed,
+        };
+        let mut src = UNet3d::new(selector(7));
         let mut bytes = Vec::new();
         save_params(&mut src, &mut bytes).unwrap();
         bytes.truncate(bytes.len() / 2);
-        let mut dst = UNet3d::new(cfg(7));
+        let mut dst = UNet3d::new(selector(8));
+        let before = weight_bits(&mut dst);
         assert!(matches!(
             load_params(&mut dst, bytes.as_slice()),
             Err(NnError::Io(_))
         ));
+        assert_eq!(
+            weight_bits(&mut dst),
+            before,
+            "a failed load must not touch the weights"
+        );
+    }
+
+    fn weight_bits(net: &mut UNet3d) -> Vec<u32> {
+        net.params_mut()
+            .iter()
+            .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+            .collect()
     }
 
     #[test]
@@ -224,7 +259,8 @@ mod tests {
         let mut dst = UNet3d::new(cfg(4));
         load_from_file(&mut dst, &path).unwrap();
         let x = Tensor::zeros(&[2, 2, 2, 1]);
-        assert_eq!(src.predict(&x), dst.predict(&x));
+        let mut ws = NnWorkspace::new();
+        assert_eq!(src.infer_in(&x, &mut ws), dst.infer_in(&x, &mut ws));
         std::fs::remove_file(&path).ok();
     }
 }

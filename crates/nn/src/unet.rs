@@ -1,24 +1,29 @@
 //! The 3D Residual U-Net — the paper's Steiner-point selector architecture
 //! (Section 3.3, Fig. 4).
 //!
-//! The network is image-in-image-out: a `[in_channels, H, V, M]` feature
-//! volume maps to a `[1, H, V, M]` logit volume for **any** spatial shape.
-//! Encoder levels apply a residual block then ceil-mode max pooling;
+//! The network is image-in-image-out: a `[in_channels, B, H, V, M]`
+//! feature batch (or one `[in_channels, H, V, M]` sample) maps to
+//! `[1, B, H, V, M]` (resp. `[1, H, V, M]`) logits for **any** spatial
+//! shape. Encoder levels apply a residual block then ceil-mode max pooling;
 //! the decoder upsamples back to each skip connection's exact shape,
 //! concatenates, and applies another residual block; a `1×1×1` convolution
-//! head produces per-vertex logits. Apply [`UNet3d::predict`] (sigmoid) to
-//! obtain the final selected probabilities of the paper.
+//! head produces per-vertex logits. [`UNet3d::infer_in`] applies the
+//! sigmoid to obtain the final selected probabilities of the paper.
 
 use crate::activation::sigmoid;
 use crate::conv3d::Conv3d;
 use crate::init::Initializer;
-use crate::layer::{Layer, Param};
-use crate::pool::MaxPool3d;
-use crate::residual::ResidualBlock;
+use crate::layer::{Dims, Layer, Param};
+use crate::pool::{MaxPool3d, PoolCache};
+use crate::residual::{ResCache, ResidualBlock};
 use crate::tensor::Tensor;
 use crate::upsample::Upsample3d;
 use crate::workspace::NnWorkspace;
 use oarsmt_telemetry::Counter;
+
+/// The deepest supported network: per-level state lives in fixed arrays,
+/// so warm passes allocate nothing.
+pub const MAX_LEVELS: usize = 8;
 
 /// Configuration of a [`UNet3d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +34,7 @@ pub struct UNetConfig {
     /// `base_channels * 2^i`.
     pub base_channels: usize,
     /// Number of encoder/decoder levels (the bottleneck adds one more
-    /// resolution).
+    /// resolution), at most [`MAX_LEVELS`].
     pub levels: usize,
     /// Weight-initialization seed.
     pub seed: u64,
@@ -51,19 +56,24 @@ impl Default for UNetConfig {
 pub struct UNet3d {
     config: UNetConfig,
     enc: Vec<ResidualBlock>,
-    pools: Vec<MaxPool3d>,
     bottleneck: ResidualBlock,
-    ups: Vec<Upsample3d>,
     dec: Vec<ResidualBlock>,
     head: Conv3d,
     /// Channel count entering decoder level `i` from below (what gets
     /// upsampled).
     up_channels: Vec<usize>,
-    /// Whether a forward pass is pending its backward.
-    forward_ran: bool,
-    /// Reused stack: skip activations during forward, skip gradients
-    /// during backward. Always empty between passes.
-    scratch: Vec<Tensor>,
+    cache: Option<UNetCache>,
+}
+
+/// The backward cache of one U-Net forward, per level.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UNetCache {
+    enc: [Option<ResCache>; MAX_LEVELS],
+    pools: [Option<PoolCache>; MAX_LEVELS],
+    bottleneck: Option<ResCache>,
+    ups: [Option<Dims>; MAX_LEVELS],
+    dec: [Option<ResCache>; MAX_LEVELS],
+    head: Option<Tensor>,
 }
 
 impl UNet3d {
@@ -71,21 +81,23 @@ impl UNet3d {
     ///
     /// # Panics
     ///
-    /// Panics if `levels == 0`, `base_channels == 0` or
-    /// `in_channels == 0`.
+    /// Panics if `levels` is 0 or above [`MAX_LEVELS`], or if
+    /// `base_channels` or `in_channels` is 0.
     pub fn new(config: UNetConfig) -> Self {
         assert!(config.levels > 0 && config.base_channels > 0 && config.in_channels > 0);
+        assert!(
+            config.levels <= MAX_LEVELS,
+            "at most {MAX_LEVELS} levels, got {}",
+            config.levels
+        );
         let mut init = Initializer::new(config.seed);
         let c = |i: usize| config.base_channels << i;
         let mut enc = Vec::new();
-        let mut pools = Vec::new();
         for i in 0..config.levels {
             let in_c = if i == 0 { config.in_channels } else { c(i - 1) };
             enc.push(ResidualBlock::new(in_c, c(i), 3, &mut init));
-            pools.push(MaxPool3d::new());
         }
         let bottleneck = ResidualBlock::new(c(config.levels - 1), c(config.levels), 3, &mut init);
-        let mut ups = Vec::new();
         let mut dec = Vec::new();
         let mut up_channels = Vec::new();
         for i in 0..config.levels {
@@ -96,7 +108,6 @@ impl UNet3d {
             } else {
                 c(i + 1)
             };
-            ups.push(Upsample3d::to_shape([1, 1, 1]));
             dec.push(ResidualBlock::new(from_below + c(i), c(i), 3, &mut init));
             up_channels.push(from_below);
         }
@@ -104,14 +115,11 @@ impl UNet3d {
         UNet3d {
             config,
             enc,
-            pools,
             bottleneck,
-            ups,
             dec,
             head,
             up_channels,
-            forward_ran: false,
-            scratch: Vec::new(),
+            cache: None,
         }
     }
 
@@ -134,108 +142,23 @@ impl UNet3d {
             .fill(bias);
     }
 
-    /// Inference: per-vertex probabilities in `(0, 1)` — the "final selected
-    /// probability" array of the paper. Shape `[1, H, V, M]`.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        self.predict_in(x, &mut NnWorkspace::new())
-    }
-
-    /// Workspace-threaded [`UNet3d::predict`]: runs the forward pass in
-    /// inference mode (no backward caches are recorded) with every
-    /// intermediate drawn from the workspace pool, and applies the sigmoid
-    /// in place on the logits. Bit-identical to `predict`.
-    pub fn predict_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let saved = ws.training;
-        ws.training = false;
-        let mut logits = self.forward_in(x, ws);
-        ws.training = saved;
-        self.forward_ran = false; // inference leaves no pending backward
-        for v in logits.data_mut() {
-            *v = sigmoid(*v);
-        }
-        logits
-    }
-
-    /// Batched [`UNet3d::predict_in`] over a channel-major
-    /// `[in_channels, B, H, V, M]` stack of same-shape inputs: one pass
-    /// through the batched layers (GEMM `N = B·H·V·M`), sigmoid applied in
-    /// place. Sample `b` of the `[1, B, H, V, M]` result is bit-identical
-    /// to `predict_in` on that sample alone.
-    pub fn predict_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let saved = ws.training;
-        ws.training = false;
-        let mut probs = self.forward_batch_in(x, ws);
-        ws.training = saved;
-        self.forward_ran = false; // inference leaves no pending backward
+    /// Inference: per-vertex probabilities in `(0, 1)` — the "final
+    /// selected probability" array of the paper — for a
+    /// `[in_channels, B, H, V, M]` batch (`[1, B, H, V, M]` out) or one
+    /// `[in_channels, H, V, M]` sample (`[1, H, V, M]` out, the same bits
+    /// as that sample in any batch).
+    ///
+    /// The forward bodies of the training pass run through `&self` with no
+    /// backward caches, so one network can serve many threads (or sit
+    /// behind an `Arc`) without cloning weights, and every intermediate
+    /// comes from the workspace pool. The sigmoid is applied in place on
+    /// the logits.
+    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let (mut probs, _) = self.forward_core(x, ws, false);
         for v in probs.data_mut() {
             *v = sigmoid(*v);
         }
         probs
-    }
-
-    /// Shared-selector inference: [`UNet3d::predict_in`] through `&self`,
-    /// so one network can serve many threads (or sit behind an `Arc`)
-    /// without cloning weights. No caches are written; results are
-    /// bit-identical to `predict_in`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has more than 8 levels (fixed skip scratch).
-    pub fn infer_in(&self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        assert!(
-            self.config.levels <= 8,
-            "infer_in supports at most 8 levels"
-        );
-        ws.counters.add(Counter::GemmBatchCols, 1);
-        ws.counters.bump(Counter::BatchFlushes);
-        let outer_slot = ws.set_mac_slot(Counter::MacsOther);
-        let mut skips: [Option<Tensor>; 8] = std::array::from_fn(|_| None);
-        let mut cur: Option<Tensor> = None;
-        #[allow(clippy::needless_range_loop)] // `i` drives enc, skips, and the MAC slot
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].infer_in(cur.as_ref().unwrap_or(x), ws);
-            if let Some(t) = cur.take() {
-                ws.free(t);
-            }
-            let pooled = MaxPool3d::infer_apply(&y, ws);
-            skips[i] = Some(y);
-            cur = Some(pooled);
-        }
-        let mut cur = {
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.infer_in(&t, ws);
-            ws.free(t);
-            b
-        };
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            let skip = skips[i].take().expect("one skip per level");
-            let (s0, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3])
-            };
-            let up = Upsample3d::infer_apply(&cur, [s1, s2, s3], ws);
-            ws.free(cur);
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, s1, s2, s3]);
-            cat.data_mut()[..up.len()].copy_from_slice(up.data());
-            cat.data_mut()[up.len()..].copy_from_slice(skip.data());
-            ws.free(up);
-            ws.free(skip);
-            cur = self.dec[i].infer_in(&cat, ws);
-            ws.free(cat);
-        }
-        ws.set_mac_slot(Counter::MacsHead);
-        let mut out = self.head.infer_in(&cur, ws);
-        ws.free(cur);
-        ws.restore_mac_slot(outer_slot);
-        for v in out.data_mut() {
-            *v = sigmoid(*v);
-        }
-        out
     }
 
     /// Routes every convolution through the naive reference loops
@@ -251,211 +174,130 @@ impl UNet3d {
         }
         self.head.set_naive(on);
     }
-}
 
-impl Layer for UNet3d {
-    /// Forward pass producing **logits** of shape `[1, H, V, M]`.
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_in(x, &mut NnWorkspace::new())
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
-    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        debug_assert!(self.scratch.is_empty());
-        // A single-sample forward is a batch of one for the occupancy
-        // telemetry (`gemm_batch_cols / batch_flushes`).
-        ws.counters.add(Counter::GemmBatchCols, 1);
+    /// The forward body behind [`Layer::forward_in`] and
+    /// [`UNet3d::infer_in`]: logits, plus every sublayer's backward cache
+    /// when `want_cache`. The skip concatenation is two `copy_from_slice`s
+    /// because activations are channel-major.
+    fn forward_core(
+        &self,
+        x: &Tensor,
+        ws: &mut NnWorkspace,
+        want_cache: bool,
+    ) -> (Tensor, Option<UNetCache>) {
+        let dims = Dims::of(x.shape());
+        assert_eq!(dims.c, self.config.in_channels, "channel mismatch");
+        // Occupancy telemetry: `gemm_batch_cols / batch_flushes` is the
+        // mean batch size.
+        ws.counters.add(Counter::GemmBatchCols, dims.b as u64);
         ws.counters.bump(Counter::BatchFlushes);
         let outer_slot = ws.set_mac_slot(Counter::MacsOther);
+        let mut cache = UNetCache::default();
+        let mut skips: [Option<Tensor>; MAX_LEVELS] = Default::default();
         let mut cur: Option<Tensor> = None;
+        // `i` drives enc, skips, the caches and the MAC slot.
+        #[allow(clippy::needless_range_loop)]
         for i in 0..self.config.levels {
             ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].forward_in(cur.as_ref().unwrap_or(x), ws);
+            let (y, c) = self.enc[i].forward_core(cur.as_ref().unwrap_or(x), ws, want_cache);
+            cache.enc[i] = c;
             if let Some(t) = cur.take() {
                 ws.free(t);
             }
-            let pooled = self.pools[i].forward_in(&y, ws);
-            self.scratch.push(y);
+            let (pooled, c) = MaxPool3d::forward_core(&y, ws, want_cache);
+            cache.pools[i] = c;
+            skips[i] = Some(y);
             cur = Some(pooled);
         }
-        let mut cur = {
-            // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.forward_in(&t, ws);
-            ws.free(t);
-            b
-        };
+        // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
+        let t = cur.expect("levels > 0");
+        ws.set_mac_slot(Counter::MacsBottleneck);
+        let (mut cur, c) = self.bottleneck.forward_core(&t, ws, want_cache);
+        cache.bottleneck = c;
+        ws.free(t);
         for i in (0..self.config.levels).rev() {
             ws.set_mac_slot(Counter::dec_macs(i));
-            // lint: panic-ok(structural: the encoder pushed exactly `levels` skips in this same call and the decoder pops each level once)
-            let skip = self.scratch.pop().expect("one skip per level");
-            let (s0, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3])
-            };
-            self.ups[i].set_target([s1, s2, s3]);
-            let up = self.ups[i].forward_in(&cur, ws);
+            // lint: panic-ok(structural: the encoder stored exactly one skip per level in this same call and the decoder takes each once)
+            let skip = skips[i].take().expect("one skip per level");
+            let sd = Dims::of(skip.shape());
+            let (up, c) = Upsample3d::forward_core(&cur, sd.d, ws, want_cache);
+            cache.ups[i] = c;
             ws.free(cur);
             // cat = [up ; skip] along channels, into a pooled buffer.
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, s1, s2, s3]);
+            let mut cat = sd.with(up.shape()[0] + sd.c, sd.d).alloc(ws);
             cat.data_mut()[..up.len()].copy_from_slice(up.data());
             cat.data_mut()[up.len()..].copy_from_slice(skip.data());
             ws.free(up);
             ws.free(skip);
-            cur = self.dec[i].forward_in(&cat, ws);
+            let (y, c) = self.dec[i].forward_core(&cat, ws, want_cache);
+            cache.dec[i] = c;
+            cur = y;
             ws.free(cat);
         }
-        self.forward_ran = true;
         ws.set_mac_slot(Counter::MacsHead);
-        let out = self.head.forward_in(&cur, ws);
+        let (out, c) = self.head.forward_core(&cur, ws, want_cache);
+        cache.head = c;
         ws.free(cur);
         ws.restore_mac_slot(outer_slot);
+        (out, want_cache.then_some(cache))
+    }
+
+    /// The backward body behind [`Layer::backward_in`].
+    fn backward_core(
+        &mut self,
+        cache: Option<UNetCache>,
+        grad_out: Tensor,
+        ws: &mut NnWorkspace,
+    ) -> Tensor {
+        let mut c = cache.expect("unet backward without forward");
+        let outer_slot = ws.set_mac_slot(Counter::MacsHead);
+        let mut grad = self.head.backward_core(c.head.take(), grad_out, ws);
+        let mut g_skips: [Option<Tensor>; MAX_LEVELS] = Default::default();
+        // `i` drives dec, g_skips, the caches and the MAC slot.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..self.config.levels {
+            ws.set_mac_slot(Counter::dec_macs(i));
+            grad = self.dec[i].backward_core(c.dec[i].take(), grad, ws);
+            // Split [g_up ; g_skip] along channels (pooled buffers).
+            let gd = Dims::of(grad.shape());
+            let c0 = self.up_channels[i];
+            assert!(c0 < gd.c, "split point must leave both halves");
+            let split = c0 * gd.b * gd.spatial();
+            let mut g_up = gd.with(c0, gd.d).alloc(ws);
+            let mut g_skip = gd.with(gd.c - c0, gd.d).alloc(ws);
+            g_up.data_mut().copy_from_slice(&grad.data()[..split]);
+            g_skip.data_mut().copy_from_slice(&grad.data()[split..]);
+            ws.free(grad);
+            g_skips[i] = Some(g_skip);
+            grad = Upsample3d::backward_core(c.ups[i].take(), g_up, ws);
+        }
+        ws.set_mac_slot(Counter::MacsBottleneck);
+        grad = self.bottleneck.backward_core(c.bottleneck.take(), grad, ws);
+        for i in (0..self.config.levels).rev() {
+            ws.set_mac_slot(Counter::enc_macs(i));
+            grad = MaxPool3d::backward_core(c.pools[i].take(), grad, ws);
+            let g_skip = g_skips[i].take().expect("one skip gradient per level");
+            grad.add_assign(&g_skip);
+            ws.free(g_skip);
+            grad = self.enc[i].backward_core(c.enc[i].take(), grad, ws);
+        }
+        ws.restore_mac_slot(outer_slot);
+        grad
+    }
+}
+
+impl Layer for UNet3d {
+    /// Forward pass producing **logits** of shape `[1, B, H, V, M]` (or
+    /// `[1, H, V, M]` for one rank-4 sample).
+    fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
+        let (out, cache) = self.forward_core(x, ws, true);
+        self.cache = cache;
         out
     }
 
     fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "unet backward without forward");
-        self.forward_ran = false;
-        debug_assert!(self.scratch.is_empty());
-        let outer_slot = ws.set_mac_slot(Counter::MacsHead);
-        let mut grad = self.head.backward_in(grad_out, ws);
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            grad = self.dec[i].backward_in(grad, ws);
-            // Split [g_up ; g_skip] along channels (pooled buffers).
-            let c0 = self.up_channels[i];
-            let s = grad.shape().to_vec();
-            assert!(c0 < s[0], "split point must leave both halves");
-            let spatial = s[1] * s[2] * s[3];
-            let mut g_up = ws.alloc(&[c0, s[1], s[2], s[3]]);
-            let mut g_skip = ws.alloc(&[s[0] - c0, s[1], s[2], s[3]]);
-            g_up.data_mut()
-                .copy_from_slice(&grad.data()[..c0 * spatial]);
-            g_skip
-                .data_mut()
-                .copy_from_slice(&grad.data()[c0 * spatial..]);
-            ws.free(grad);
-            self.scratch.push(g_skip);
-            grad = self.ups[i].backward_in(g_up, ws);
-        }
-        ws.set_mac_slot(Counter::MacsBottleneck);
-        grad = self.bottleneck.backward_in(grad, ws);
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            grad = self.pools[i].backward_in(grad, ws);
-            let g_skip = self.scratch.pop().expect("one skip gradient per level");
-            grad.add_assign(&g_skip);
-            ws.free(g_skip);
-            grad = self.enc[i].backward_in(grad, ws);
-        }
-        ws.restore_mac_slot(outer_slot);
-        grad
-    }
-
-    /// Batched forward over channel-major `[in_channels, B, H, V, M]`
-    /// stacks, producing `[1, B, H, V, M]` logits. Same dataflow as
-    /// [`Layer::forward_in`] with every sublayer's batched variant; the
-    /// skip concatenation stays two `copy_from_slice`s because rank-5 is
-    /// channel-major too.
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert_eq!(x.shape().len(), 5);
-        assert_eq!(x.shape()[0], self.config.in_channels, "channel mismatch");
-        debug_assert!(self.scratch.is_empty());
-        ws.counters.add(Counter::GemmBatchCols, x.shape()[1] as u64);
-        ws.counters.bump(Counter::BatchFlushes);
-        let outer_slot = ws.set_mac_slot(Counter::MacsOther);
-        let mut cur: Option<Tensor> = None;
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            let y = self.enc[i].forward_batch_in(cur.as_ref().unwrap_or(x), ws);
-            if let Some(t) = cur.take() {
-                ws.free(t);
-            }
-            let pooled = self.pools[i].forward_batch_in(&y, ws);
-            self.scratch.push(y);
-            cur = Some(pooled);
-        }
-        let mut cur = {
-            // lint: panic-ok(structural: UNetConfig validates levels >= 1, so the encoder loop always ran and `cur` is Some)
-            let t = cur.expect("levels > 0");
-            ws.set_mac_slot(Counter::MacsBottleneck);
-            let b = self.bottleneck.forward_batch_in(&t, ws);
-            ws.free(t);
-            b
-        };
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            // lint: panic-ok(structural: the encoder pushed exactly `levels` skips in this same call and the decoder pops each level once)
-            let skip = self.scratch.pop().expect("one skip per level");
-            let (s0, sb, s1, s2, s3) = {
-                let s = skip.shape();
-                (s[0], s[1], s[2], s[3], s[4])
-            };
-            self.ups[i].set_target([s1, s2, s3]);
-            let up = self.ups[i].forward_batch_in(&cur, ws);
-            ws.free(cur);
-            let mut cat = ws.alloc(&[up.shape()[0] + s0, sb, s1, s2, s3]);
-            cat.data_mut()[..up.len()].copy_from_slice(up.data());
-            cat.data_mut()[up.len()..].copy_from_slice(skip.data());
-            ws.free(up);
-            ws.free(skip);
-            cur = self.dec[i].forward_batch_in(&cat, ws);
-            ws.free(cat);
-        }
-        self.forward_ran = true;
-        ws.set_mac_slot(Counter::MacsHead);
-        let out = self.head.forward_batch_in(&cur, ws);
-        ws.free(cur);
-        ws.restore_mac_slot(outer_slot);
-        out
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        assert!(self.forward_ran, "unet backward without forward");
-        self.forward_ran = false;
-        debug_assert!(self.scratch.is_empty());
-        let outer_slot = ws.set_mac_slot(Counter::MacsHead);
-        let mut grad = self.head.backward_batch_in(grad_out, ws);
-        for i in 0..self.config.levels {
-            ws.set_mac_slot(Counter::dec_macs(i));
-            grad = self.dec[i].backward_batch_in(grad, ws);
-            let c0 = self.up_channels[i];
-            let (sc, sb, s1, s2, s3) = {
-                let s = grad.shape();
-                (s[0], s[1], s[2], s[3], s[4])
-            };
-            assert!(c0 < sc, "split point must leave both halves");
-            let stride = sb * s1 * s2 * s3;
-            let mut g_up = ws.alloc(&[c0, sb, s1, s2, s3]);
-            let mut g_skip = ws.alloc(&[sc - c0, sb, s1, s2, s3]);
-            g_up.data_mut().copy_from_slice(&grad.data()[..c0 * stride]);
-            g_skip
-                .data_mut()
-                .copy_from_slice(&grad.data()[c0 * stride..]);
-            ws.free(grad);
-            self.scratch.push(g_skip);
-            grad = self.ups[i].backward_batch_in(g_up, ws);
-        }
-        ws.set_mac_slot(Counter::MacsBottleneck);
-        grad = self.bottleneck.backward_batch_in(grad, ws);
-        for i in (0..self.config.levels).rev() {
-            ws.set_mac_slot(Counter::enc_macs(i));
-            grad = self.pools[i].backward_batch_in(grad, ws);
-            let g_skip = self.scratch.pop().expect("one skip gradient per level");
-            grad.add_assign(&g_skip);
-            ws.free(g_skip);
-            grad = self.enc[i].backward_batch_in(grad, ws);
-        }
-        ws.restore_mac_slot(outer_slot);
-        grad
+        let cache = self.cache.take();
+        self.backward_core(cache, grad_out, ws)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -491,16 +333,16 @@ mod tests {
         let mut net = tiny_net(0);
         for dims in [[4, 4, 2], [5, 3, 1], [7, 2, 3], [1, 1, 1], [9, 9, 4]] {
             let x = Tensor::zeros(&[2, dims[0], dims[1], dims[2]]);
-            let y = net.forward(&x);
+            let y = net.forward_in(&x, &mut NnWorkspace::new());
             assert_eq!(y.shape(), &[1, dims[0], dims[1], dims[2]], "dims {dims:?}");
         }
     }
 
     #[test]
     fn predict_outputs_probabilities() {
-        let mut net = tiny_net(1);
+        let net = tiny_net(1);
         let x = Initializer::new(2).uniform(&[2, 4, 5, 2], 1.0);
-        let p = net.predict(&x);
+        let p = net.infer_in(&x, &mut NnWorkspace::new());
         for &v in p.data() {
             assert!(v > 0.0 && v < 1.0);
         }
@@ -515,16 +357,17 @@ mod tests {
             seed: 4,
         });
         let x = Tensor::zeros(&[3, 3, 2, 1]);
-        let y = net.forward(&x);
+        let y = net.forward_in(&x, &mut NnWorkspace::new());
         assert_eq!(y.shape(), &[1, 3, 2, 1]);
     }
 
     #[test]
     fn same_seed_same_output() {
         let x = Initializer::new(11).uniform(&[2, 4, 4, 2], 1.0);
-        let ya = tiny_net(42).forward(&x);
-        let yb = tiny_net(42).forward(&x);
-        let yc = tiny_net(43).forward(&x);
+        let mut ws = NnWorkspace::new();
+        let ya = tiny_net(42).infer_in(&x, &mut ws);
+        let yb = tiny_net(42).infer_in(&x, &mut ws);
+        let yc = tiny_net(43).infer_in(&x, &mut ws);
         assert_eq!(ya, yb);
         assert_ne!(ya, yc);
     }
@@ -558,8 +401,9 @@ mod tests {
     fn backward_returns_input_shaped_gradient() {
         let mut net = tiny_net(9);
         let x = Initializer::new(10).uniform(&[2, 5, 4, 2], 1.0);
-        let y = net.forward(&x);
-        let g = net.backward(&y);
+        let mut ws = NnWorkspace::new();
+        let y = net.forward_in(&x, &mut ws);
+        let g = net.backward_in(ws.alloc_copy(&y), &mut ws);
         assert_eq!(g.shape(), x.shape());
     }
 
@@ -590,11 +434,12 @@ mod tests {
             let x = Initializer::new(seed + 100).uniform(&[3, dims[0], dims[1], dims[2]], 1.0);
             let mut ws = NnWorkspace::new();
             let y_fast = fast.forward_in(&x, &mut ws);
-            let y_naive = naive.forward(&x);
+            let mut wsn = NnWorkspace::new();
+            let y_naive = naive.forward_in(&x, &mut wsn);
             assert_bits_eq(&y_fast, &y_naive, "logits");
             let g = ws.alloc_copy(&y_fast);
             let gi_fast = fast.backward_in(g, &mut ws);
-            let gi_naive = naive.backward(&y_naive);
+            let gi_naive = naive.backward_in(wsn.alloc_copy(&y_naive), &mut wsn);
             assert_bits_eq(&gi_fast, &gi_naive, "input grad");
             for (pf, pn) in fast.params_mut().iter().zip(naive.params_mut().iter()) {
                 assert_bits_eq(&pf.grad, &pn.grad, "param grad");
@@ -642,9 +487,9 @@ mod tests {
                 let mut bat = proto.clone();
                 let mut wsb = NnWorkspace::new();
                 let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
-                let y5 = bat.forward_batch_in(&x5, &mut wsb);
+                let y5 = bat.forward_in(&x5, &mut wsb);
                 let g5 = wsb.alloc_copy(&y5);
-                let gi5 = bat.backward_batch_in(g5, &mut wsb);
+                let gi5 = bat.backward_in(g5, &mut wsb);
 
                 let what = format!("levels {levels} B{bsz}");
                 for b in 0..bsz {
@@ -662,70 +507,70 @@ mod tests {
                 let mut nv = proto.clone();
                 nv.set_naive(true);
                 let mut wsn = NnWorkspace::new();
-                let yn = nv.forward_batch_in(&x5, &mut wsn);
+                let yn = nv.forward_in(&x5, &mut wsn);
                 let gn = wsn.alloc_copy(&yn);
-                let gin = nv.backward_batch_in(gn, &mut wsn);
+                let gin = nv.backward_in(gn, &mut wsn);
                 assert_bits_eq(&yn, &y5, &format!("{what} naive y"));
                 assert_bits_eq(&gin, &gi5, &format!("{what} naive grad_in"));
             }
         }
     }
 
-    /// `predict_batch_in` per-sample bit identity with `predict_in`, plus
-    /// the occupancy counters: B columns, one flush.
+    /// Batched inference per-sample bit identity with single-sample
+    /// inference, plus the occupancy counters: B columns, one flush.
     #[test]
-    fn predict_batch_in_matches_predict_in_per_sample() {
-        let proto = tiny_net(61);
+    fn batched_inference_matches_single_samples() {
+        let net = tiny_net(61);
         let xs: Vec<Tensor> = (0..3)
             .map(|b| Initializer::new(62 + b).uniform(&[2, 5, 3, 4], 1.0))
             .collect();
-        let mut single = proto.clone();
         let mut ws = NnWorkspace::new();
-        let ps: Vec<Tensor> = xs.iter().map(|x| single.predict_in(x, &mut ws)).collect();
-
-        let mut bat = proto.clone();
+        let ps: Vec<Tensor> = xs.iter().map(|x| net.infer_in(x, &mut ws)).collect();
         let mut wsb = NnWorkspace::new();
         let x5 = Tensor::stack_batch(&xs.iter().collect::<Vec<_>>());
-        let p5 = bat.predict_batch_in(&x5, &mut wsb);
-        assert!(
-            wsb.training(),
-            "predict_batch_in must restore training mode"
-        );
+        let p5 = net.infer_in(&x5, &mut wsb);
+        assert_eq!(p5.shape(), &[1, 3, 5, 3, 4]);
         for (b, p) in ps.iter().enumerate() {
+            assert_eq!(p.shape(), &[1, 5, 3, 4], "rank-4 input keeps rank 4");
             assert_bits_eq(&p5.unstack_sample(b), p, &format!("probs[{b}]"));
         }
         assert_eq!(wsb.counters.get(Counter::GemmBatchCols), 3);
         assert_eq!(wsb.counters.get(Counter::BatchFlushes), 1);
     }
 
-    /// The `&self` shared-inference path must reproduce `predict_in`
-    /// bit for bit (and leave no caches behind by construction).
+    /// `infer_in` is the training forward plus the sigmoid, bit for bit,
+    /// and leaves no cache behind (a following backward panics).
     #[test]
-    fn infer_in_matches_predict_in() {
+    fn infer_in_matches_training_forward() {
         let proto = tiny_net(71);
         let mut owned = proto.clone();
         let mut ws = NnWorkspace::new();
         for (i, dims) in [[4, 4, 2], [5, 3, 1], [7, 2, 3]].iter().enumerate() {
             let x = Initializer::new(72 + i as u64).uniform(&[2, dims[0], dims[1], dims[2]], 1.0);
-            let p_ref = owned.predict_in(&x, &mut ws);
+            let mut logits = owned.forward_in(&x, &mut ws);
+            for v in logits.data_mut() {
+                *v = sigmoid(*v);
+            }
             let shared = &proto;
             let p = shared.infer_in(&x, &mut ws);
-            assert_bits_eq(&p, &p_ref, "shared inference");
-            ws.free(p_ref);
+            assert_bits_eq(&p, &logits, "shared inference");
+            ws.free(logits);
             ws.free(p);
         }
+        assert!(proto.cache.is_none());
     }
 
-    /// Reusing one workspace across passes must not change any bit, and
-    /// `predict_in` must match legacy `predict`.
+    /// Reusing one workspace across passes must not change any bit
+    /// against fresh workspaces.
     #[test]
     fn workspace_reuse_is_bitwise_stable() {
-        let mut legacy = tiny_net(31);
-        let mut pooled = legacy.clone();
+        let mut fresh_net = tiny_net(31);
+        let mut pooled = fresh_net.clone();
         let x = Initializer::new(32).uniform(&[2, 5, 3, 4], 1.0);
-        let y_ref = legacy.forward(&x);
-        let gi_ref = legacy.backward(&y_ref);
-        let p_ref = legacy.predict(&x);
+        let mut fresh = NnWorkspace::new();
+        let y_ref = fresh_net.forward_in(&x, &mut fresh);
+        let gi_ref = fresh_net.backward_in(fresh.alloc_copy(&y_ref), &mut fresh);
+        let p_ref = fresh_net.infer_in(&x, &mut NnWorkspace::new());
         let mut ws = NnWorkspace::new();
         for _ in 0..2 {
             pooled.zero_grad();
@@ -734,12 +579,20 @@ mod tests {
             let g = ws.alloc_copy(&y);
             let gi = pooled.backward_in(g, &mut ws);
             assert_bits_eq(&gi, &gi_ref, "input grad");
-            let p = pooled.predict_in(&x, &mut ws);
+            let p = pooled.infer_in(&x, &mut ws);
             assert_bits_eq(&p, &p_ref, "probabilities");
-            assert!(ws.training(), "predict_in must restore training mode");
             ws.free(y);
             ws.free(gi);
             ws.free(p);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 levels")]
+    fn too_many_levels_panic() {
+        UNet3d::new(UNetConfig {
+            levels: MAX_LEVELS + 1,
+            ..UNetConfig::default()
+        });
     }
 }

@@ -6,7 +6,7 @@
 //! explicit target shape using nearest-neighbor indexing, and its backward
 //! pass accumulates gradients onto the source cells.
 
-use crate::layer::Layer;
+use crate::layer::{Dims, Layer};
 use crate::tensor::Tensor;
 use crate::workspace::{NnWorkspace, ProfKind};
 
@@ -14,27 +14,18 @@ use crate::workspace::{NnWorkspace, ProfKind};
 #[derive(Debug, Clone)]
 pub struct Upsample3d {
     target: [usize; 3],
-    in_shape: Option<[usize; 4]>,
-    /// `0` after a rank-4 forward; the batch size after a batched rank-5
-    /// forward (which way to rebuild the input-gradient shape).
-    in_batch: usize,
+    /// Input shape of the pending forward.
+    cache: Option<Dims>,
 }
 
 impl Upsample3d {
-    /// Creates an upsampler producing `[c, target[0], target[1], target[2]]`
-    /// outputs.
+    /// Creates an upsampler producing `[c, (b,) target[0], target[1],
+    /// target[2]]` outputs.
     pub fn to_shape(target: [usize; 3]) -> Self {
         Upsample3d {
             target,
-            in_shape: None,
-            in_batch: 0,
+            cache: None,
         }
-    }
-
-    /// Changes the target shape (the U-Net reuses one upsampler per level
-    /// across inputs of different sizes).
-    pub fn set_target(&mut self, target: [usize; 3]) {
-        self.target = target;
     }
 
     /// Source index for an output index along one axis.
@@ -43,35 +34,54 @@ impl Upsample3d {
         (i * in_d / out_d).min(in_d - 1)
     }
 
-    /// Stateless upsample to `target` for the shared-selector inference
-    /// path. Works on rank-4 and (channel-major) rank-5 inputs alike.
-    pub fn infer_apply(x: &Tensor, target: [usize; 3], ws: &mut NnWorkspace) -> Tensor {
+    /// The forward body behind [`Layer::forward_in`] and the inference
+    /// path: upsamples `x` to `target`, returning the input shape as the
+    /// backward cache when `want_cache`.
+    pub(crate) fn forward_core(
+        x: &Tensor,
+        target: [usize; 3],
+        ws: &mut NnWorkspace,
+        want_cache: bool,
+    ) -> (Tensor, Option<Dims>) {
         let t = ws.prof_start();
-        let s = x.shape();
-        let n = s.len();
-        let c_eff: usize = s[..n - 3].iter().product();
-        let [o1, o2, o3] = target;
-        // Fixed rank ≤ 5: build the output shape on the stack so the warm
-        // inference loop stays allocation-free.
-        let mut shape = [0usize; 5];
-        shape[..n].copy_from_slice(s);
-        shape[n - 3..n].copy_from_slice(&target);
-        let mut out = ws.alloc(&shape[..n]);
-        up_core(
-            x.data(),
-            c_eff,
-            [s[n - 3], s[n - 2], s[n - 1]],
-            [o1, o2, o3],
-            out.data_mut(),
-        );
+        let dims = Dims::of(x.shape());
+        let mut out = dims.with(dims.c, target).alloc(ws);
+        up_core(x.data(), dims.c * dims.b, dims.d, target, out.data_mut());
         ws.prof_end(t, ProfKind::UpFwd);
-        out
+        (out, want_cache.then_some(dims))
+    }
+
+    /// The backward body behind [`Layer::backward_in`].
+    pub(crate) fn backward_core(
+        cache: Option<Dims>,
+        grad_out: Tensor,
+        ws: &mut NnWorkspace,
+    ) -> Tensor {
+        let t = ws.prof_start();
+        let in_dims = cache.expect("upsample backward without forward");
+        let out_dims = Dims::of(grad_out.shape());
+        assert_eq!(
+            out_dims,
+            in_dims.with(in_dims.c, out_dims.d),
+            "upsample gradient does not match the cached forward"
+        );
+        let mut grad_in = in_dims.alloc(ws);
+        up_back_core(
+            grad_out.data(),
+            in_dims.c * in_dims.b,
+            in_dims.d,
+            out_dims.d,
+            grad_in.data_mut(),
+        );
+        ws.free(grad_out);
+        ws.prof_end(t, ProfKind::UpBwd);
+        grad_in
     }
 }
 
 /// The nearest-neighbor kernel: every leading axis is an independent
-/// volume (`c` for rank-4, `c·b` channel-major for rank-5 — per-sample
-/// bit identity is structural because outputs are pure copies).
+/// `(c, b)` volume (channel-major — per-sample bit identity is structural
+/// because outputs are pure copies).
 fn up_core(xd: &[f32], c_eff: usize, din: [usize; 3], dout: [usize; 3], od: &mut [f32]) {
     let [d1, d2, d3] = din;
     let [o1, o2, o3] = dout;
@@ -113,76 +123,14 @@ fn up_back_core(gd: &[f32], c_eff: usize, din: [usize; 3], dout: [usize; 3], gi:
 }
 
 impl Layer for Upsample3d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        self.forward_in(x, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = NnWorkspace::new();
-        let g = ws.alloc_copy(grad_out);
-        self.backward_in(g, &mut ws)
-    }
-
     fn forward_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "upsample expects [c, d1, d2, d3]");
-        let (c, d1, d2, d3) = (s[0], s[1], s[2], s[3]);
-        let [o1, o2, o3] = self.target;
-        let mut out = ws.alloc(&[c, o1, o2, o3]);
-        up_core(x.data(), c, [d1, d2, d3], self.target, out.data_mut());
-        self.in_shape = Some([c, d1, d2, d3]);
-        self.in_batch = 0;
-        ws.prof_end(t, ProfKind::UpFwd);
+        let (out, cache) = Upsample3d::forward_core(x, self.target, ws, true);
+        self.cache = cache;
         out
     }
 
     fn backward_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("upsample backward without forward");
-        let [c, d1, d2, d3] = in_shape;
-        let [o1, o2, o3] = self.target;
-        let bsz = self.in_batch;
-        let mut grad_in = if bsz == 0 {
-            assert_eq!(grad_out.shape(), &[c, o1, o2, o3]);
-            ws.alloc(&in_shape)
-        } else {
-            assert_eq!(grad_out.shape(), &[c, bsz, o1, o2, o3]);
-            ws.alloc(&[c, bsz, d1, d2, d3])
-        };
-        let c_eff = c * bsz.max(1);
-        up_back_core(
-            grad_out.data(),
-            c_eff,
-            [d1, d2, d3],
-            self.target,
-            grad_in.data_mut(),
-        );
-        ws.free(grad_out);
-        ws.prof_end(t, ProfKind::UpBwd);
-        grad_in
-    }
-
-    fn forward_batch_in(&mut self, x: &Tensor, ws: &mut NnWorkspace) -> Tensor {
-        let t = ws.prof_start();
-        let s = x.shape();
-        assert_eq!(s.len(), 5, "upsample batch expects [c, b, d1, d2, d3]");
-        let (c, bsz, d1, d2, d3) = (s[0], s[1], s[2], s[3], s[4]);
-        let [o1, o2, o3] = self.target;
-        let mut out = ws.alloc(&[c, bsz, o1, o2, o3]);
-        up_core(x.data(), c * bsz, [d1, d2, d3], self.target, out.data_mut());
-        self.in_shape = Some([c, d1, d2, d3]);
-        self.in_batch = bsz;
-        ws.prof_end(t, ProfKind::UpFwd);
-        out
-    }
-
-    fn backward_batch_in(&mut self, grad_out: Tensor, ws: &mut NnWorkspace) -> Tensor {
-        self.backward_in(grad_out, ws)
+        Upsample3d::backward_core(self.cache.take(), grad_out, ws)
     }
 }
 
@@ -194,7 +142,8 @@ mod tests {
     fn doubling_replicates_each_cell() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![1.0, 2.0]).unwrap();
         let mut u = Upsample3d::to_shape([4, 1, 1]);
-        let y = u.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = u.forward_in(&x, &mut ws);
         assert_eq!(y.data(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
@@ -203,7 +152,8 @@ mod tests {
         // 5 pooled (ceil) -> 3; upsample back to 5.
         let x = Tensor::from_vec(&[1, 3, 1, 1], vec![10.0, 20.0, 30.0]).unwrap();
         let mut u = Upsample3d::to_shape([5, 1, 1]);
-        let y = u.forward(&x);
+        let mut ws = NnWorkspace::new();
+        let y = u.forward_in(&x, &mut ws);
         assert_eq!(y.shape(), &[1, 5, 1, 1]);
         // floor(i * 3 / 5): 0,0,1,1,2
         assert_eq!(y.data(), &[10.0, 10.0, 20.0, 20.0, 30.0]);
@@ -213,8 +163,12 @@ mod tests {
     fn backward_accumulates_replicated_gradients() {
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![0.0, 0.0]).unwrap();
         let mut u = Upsample3d::to_shape([4, 1, 1]);
-        u.forward(&x);
-        let g = u.backward(&Tensor::from_vec(&[1, 4, 1, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap());
+        let mut ws = NnWorkspace::new();
+        u.forward_in(&x, &mut ws);
+        let g = u.backward_in(
+            Tensor::from_vec(&[1, 4, 1, 1], vec![1.0, 2.0, 3.0, 4.0]).unwrap(),
+            &mut ws,
+        );
         assert_eq!(g.data(), &[3.0, 7.0]);
     }
 
@@ -222,6 +176,7 @@ mod tests {
     fn identity_when_shapes_match() {
         let x = Tensor::from_fn4(&[2, 2, 3, 1], |c, a, b, _| (c * 10 + a + b) as f32);
         let mut u = Upsample3d::to_shape([2, 3, 1]);
-        assert_eq!(u.forward(&x), x);
+        let mut ws = NnWorkspace::new();
+        assert_eq!(u.forward_in(&x, &mut ws), x);
     }
 }

@@ -1,10 +1,10 @@
 //! The zero-allocation scratch arena of the NN hot path.
 //!
-//! Selector inference runs once per MCTS search and selector training runs
-//! `UNet3d::forward`/`backward` once per sample; before this workspace
-//! existed, every layer allocated fresh [`Tensor`]s (outputs, caches,
-//! clones) on each of those calls. An [`NnWorkspace`] owns all of that
-//! reusable state:
+//! Selector inference runs once per MCTS search or route, and selector
+//! training runs `UNet3d::forward_in`/`backward_in` once per batch; without
+//! this workspace every layer would allocate fresh [`Tensor`]s (outputs,
+//! caches, copies) on each of those calls. An [`NnWorkspace`] owns all of
+//! that reusable state:
 //!
 //! * a **tensor pool** — layers acquire output/cache storage with
 //!   [`NnWorkspace::alloc`] and return it with [`NnWorkspace::free`], so
@@ -25,7 +25,10 @@
 //! for the selector path, `Trainer` owns one per fit loop, and each
 //! `parallel` worker carries its own inside its context). Workspaces are
 //! never shared across threads. All workspace state is scratch: reusing a
-//! workspace never changes results, only allocation behavior.
+//! workspace never changes results, only allocation behavior. Whether a
+//! pass keeps backward caches is not workspace state either: it follows
+//! from the entry point (`Layer::forward_in` keeps them,
+//! [`UNet3d::infer_in`](crate::unet::UNet3d::infer_in) does not).
 
 use oarsmt_telemetry::{Counter, CounterSet, Span, SpanSet, SpanStart};
 
@@ -97,17 +100,13 @@ pub struct NnWorkspace {
     pub(crate) g_t: Vec<f32>,
     /// GroupNorm backward `dxhat` scratch.
     pub(crate) dxhat: Vec<f32>,
-    /// `false` skips backward caches (inference mode). Set by
-    /// [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in); defaults to
-    /// `true` so `forward_in`/`backward_in` pairs always work.
-    pub(crate) training: bool,
     profiling: bool,
     spans: SpanSet,
     /// Tier A telemetry of the NN subsystem: pool hits/misses, GEMM
     /// dispatch per path, per-U-Net-layer MACs. Always on; monotone.
     pub counters: CounterSet,
     /// The counter index MACs are attributed to (`Counter::MacsOther`
-    /// outside a tagged U-Net layer; `UNet3d::forward_in`/`backward_in`
+    /// outside a tagged U-Net layer; the U-Net forward and backward passes
     /// retag it per block via [`NnWorkspace::set_mac_slot`]).
     pub(crate) mac_slot: usize,
     /// Which kernel family conv GEMM calls route through (default
@@ -136,7 +135,6 @@ impl NnWorkspace {
             g_pad: Vec::new(),
             g_t: Vec::new(),
             dxhat: Vec::new(),
-            training: true,
             profiling: false,
             spans: SpanSet::new(),
             counters: CounterSet::new(),
@@ -200,12 +198,6 @@ impl NnWorkspace {
     /// reuse.
     pub fn free(&mut self, t: Tensor) {
         self.pool.push(t);
-    }
-
-    /// Whether backward caches are being recorded (`true` outside
-    /// [`UNet3d::predict_in`](crate::unet::UNet3d::predict_in)).
-    pub fn training(&self) -> bool {
-        self.training
     }
 
     /// Takes the im2col panel buffer, sized to at least `len` (callers

@@ -13,6 +13,7 @@ use oarsmt_nn::serialize::{load_params, save_params};
 use oarsmt_nn::tensor::Tensor;
 use oarsmt_nn::unet::{UNet3d, UNetConfig};
 use oarsmt_nn::upsample::Upsample3d;
+use oarsmt_nn::NnWorkspace;
 use proptest::prelude::*;
 
 proptest! {
@@ -45,9 +46,13 @@ proptest! {
             levels,
             seed: 0,
         });
+        let mut ws = NnWorkspace::new();
         let x = Tensor::zeros(&[2, d1, d2, d3]);
-        let y = net.forward(&x);
+        let y = net.forward_in(&x, &mut ws);
         prop_assert_eq!(y.shape(), &[1, d1, d2, d3]);
+        let x5 = Tensor::zeros(&[2, 2, d1, d2, d3]);
+        let y5 = net.infer_in(&x5, &mut ws);
+        prop_assert_eq!(y5.shape(), &[1, 2, d1, d2, d3]);
     }
 
     #[test]
@@ -56,12 +61,13 @@ proptest! {
         d2 in 1usize..10,
         d3 in 1usize..5,
     ) {
+        let mut ws = NnWorkspace::new();
         let x = Tensor::zeros(&[3, d1, d2, d3]);
         let mut pool = MaxPool3d::new();
-        let pooled_t = pool.forward(&x);
+        let pooled_t = pool.forward_in(&x, &mut ws);
         prop_assert_eq!(pooled_t.shape(), &[3, pooled(d1), pooled(d2), pooled(d3)]);
         let mut up = Upsample3d::to_shape([d1, d2, d3]);
-        let restored = up.forward(&pooled_t);
+        let restored = up.forward_in(&pooled_t, &mut ws);
         prop_assert_eq!(restored.shape(), x.shape());
     }
 
@@ -71,9 +77,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let x = Initializer::new(seed).uniform(&[len], 5.0);
-        let r = Relu::new().forward(&x);
+        let mut ws = NnWorkspace::new();
+        let r = Relu::new().forward_in(&x, &mut ws);
         prop_assert!(r.data().iter().all(|&v| v >= 0.0));
-        let s = Sigmoid::new().forward(&x);
+        let s = Sigmoid::new().forward_in(&x, &mut ws);
         prop_assert!(s.data().iter().all(|&v| v > 0.0 && v < 1.0));
         prop_assert_eq!(r.shape(), x.shape());
         prop_assert_eq!(s.shape(), x.shape());
@@ -98,20 +105,38 @@ proptest! {
     fn serialization_rejects_random_corruption(
         flip in 8usize..64,
         byte in 0u8..255,
+        // Below 1000: truncate to `cut`‰ of the blob; otherwise corrupt.
+        cut in 0usize..2000,
     ) {
         let cfg = UNetConfig { in_channels: 2, base_channels: 1, levels: 1, seed: 0 };
         let mut net = UNet3d::new(cfg);
         let mut bytes = Vec::new();
         save_params(&mut net, &mut bytes).unwrap();
-        // Corrupt a header byte; loading must error, never panic.
-        let i = flip % bytes.len().min(64);
-        if bytes[i] == byte {
-            return Ok(()); // no-op corruption
+        if cut < 1000 {
+            bytes.truncate(bytes.len() * cut / 1000);
+        } else {
+            // Corrupt a header byte.
+            let i = flip % bytes.len().min(64);
+            if bytes[i] == byte {
+                return Ok(()); // no-op corruption
+            }
+            bytes[i] = byte;
         }
-        bytes[i] = byte;
-        let mut other = UNet3d::new(cfg);
-        let _ = load_params(&mut other, bytes.as_slice()); // Err or Ok, no panic
+        // Loading must return Err or Ok, never panic, and an Err must
+        // leave every weight bit as it was.
+        let mut other = UNet3d::new(UNetConfig { seed: 1, ..cfg });
+        let before = weight_bits(&mut other);
+        if load_params(&mut other, bytes.as_slice()).is_err() {
+            prop_assert_eq!(weight_bits(&mut other), before);
+        }
     }
+}
+
+fn weight_bits(net: &mut UNet3d) -> Vec<u32> {
+    net.params_mut()
+        .iter()
+        .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+        .collect()
 }
 
 #[test]
@@ -129,13 +154,16 @@ fn training_step_reduces_loss_on_one_sample() {
         .uniform(&[1, 4, 4, 2], 0.5)
         .map(|v| v.abs().min(1.0));
     let mut opt = Adam::new(1e-2);
+    let mut ws = NnWorkspace::new();
     let mut first = None;
     let mut last = 0.0;
     for _ in 0..60 {
         net.zero_grad();
-        let logits = net.forward(&x);
+        let logits = net.forward_in(&x, &mut ws);
         let out = bce_with_logits(&logits, &target, None);
-        net.backward(&out.grad);
+        let grad_in = net.backward_in(out.grad, &mut ws);
+        ws.free(grad_in);
+        ws.free(logits);
         opt.step(&mut net);
         first.get_or_insert(out.loss);
         last = out.loss;

@@ -20,6 +20,7 @@ use oarsmt_nn::layer::Layer;
 use oarsmt_nn::optim::Adam;
 use oarsmt_nn::tensor::Tensor;
 use oarsmt_nn::unet::{UNet3d, UNetConfig};
+use oarsmt_nn::NnWorkspace;
 use oarsmt_router::OarmstRouter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,6 +107,8 @@ pub struct PpoTrainer {
     opt_policy: Adam,
     opt_value: Adam,
     rng: StdRng,
+    /// Scratch arena of both networks' passes.
+    ws: NnWorkspace,
 }
 
 impl PpoTrainer {
@@ -120,6 +123,7 @@ impl PpoTrainer {
             opt_policy: Adam::new(config.lr_policy),
             opt_value: Adam::new(config.lr_value),
             rng: StdRng::seed_from_u64(config.seed),
+            ws: NnWorkspace::new(),
             config,
             policy,
             value,
@@ -221,7 +225,7 @@ impl PpoTrainer {
                 let x = encode_features(graph, &step.state);
 
                 // ---- value network: V(s) = masked mean of its output.
-                let value_logits = self.value.forward(&x);
+                let value_logits = self.value.forward_in(&x, &mut self.ws);
                 let mask = valid_mask(graph, &step.state);
                 let mask_sum: f32 = mask.data().iter().sum();
                 let v: f32 = value_logits
@@ -238,13 +242,15 @@ impl PpoTrainer {
                     *g = 2.0 * v_err * w / mask_sum.max(1.0);
                 }
                 self.value.zero_grad();
-                self.value.backward(&v_grad);
+                let grad_in = self.value.backward_in(v_grad, &mut self.ws);
+                self.ws.free(grad_in);
+                self.ws.free(value_logits);
                 self.opt_value.step(&mut self.value);
 
                 // ---- policy network: clipped surrogate on the advantage.
                 let advantage = step.ret - v;
                 let net = self.policy.net_mut();
-                let logits = net.forward(&x);
+                let logits = net.forward_in(&x, &mut self.ws);
                 let (probs, valid) = masked_softmax(&logits, graph, &step.state);
                 let new_logp = probs[step.action].max(1e-12).ln();
                 let ratio = (new_logp - step.old_logp).exp();
@@ -264,7 +270,9 @@ impl PpoTrainer {
                     }
                 }
                 net.zero_grad();
-                net.backward(&p_grad);
+                let grad_in = net.backward_in(p_grad, &mut self.ws);
+                self.ws.free(grad_in);
+                self.ws.free(logits);
                 self.opt_policy.step(net);
                 updates += 1;
             }
@@ -283,8 +291,12 @@ impl PpoTrainer {
     ) -> (Vec<f32>, Vec<usize>) {
         let x = encode_features(graph, state);
         let net = self.policy.net_mut();
-        let logits = net.forward(&x);
-        masked_softmax(&logits, graph, state)
+        // The logits come from the training forward; its cache is simply
+        // replaced by the next forward.
+        let logits = net.forward_in(&x, &mut self.ws);
+        let dist = masked_softmax(&logits, graph, state);
+        self.ws.free(logits);
+        dist
     }
 }
 

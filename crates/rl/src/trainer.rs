@@ -302,12 +302,23 @@ impl Trainer {
         file.read_exact(&mut b8)?;
         let next_stage = u64::from_le_bytes(b8) as usize;
         file.read_exact(&mut b8)?;
-        let len = u64::from_le_bytes(b8) as usize;
-        let mut weights = vec![0u8; len];
-        file.read_exact(&mut weights)?;
-        oarsmt_nn::serialize::load_params(selector.net_mut(), weights.as_slice())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.optimizer.load_state(&mut file)?;
+        let len = u64::from_le_bytes(b8);
+        // Stage both parts, so a bad file changes neither the selector nor
+        // the optimizer. Every size is bounded by the selector's own
+        // parameter shapes, never by a length field of the file.
+        let nn_err = |e: oarsmt_nn::NnError| std::io::Error::other(e.to_string());
+        let mut net = selector.net_mut().clone();
+        let mut weights = (&mut file).take(len);
+        oarsmt_nn::serialize::load_params(&mut net, &mut weights).map_err(nn_err)?;
+        if weights.limit() != 0 {
+            return Err(std::io::Error::other(
+                "checkpoint weights section is longer than the selector's weights",
+            ));
+        }
+        let mut optimizer = self.optimizer.clone();
+        optimizer.load_state(&mut net, &mut file).map_err(nn_err)?;
+        *selector.net_mut() = net;
+        self.optimizer = optimizer;
         Ok(next_stage)
     }
 
@@ -460,13 +471,13 @@ impl Trainer {
         let encoded: Vec<(Tensor, Tensor, Tensor)> = batch.iter().map(|s| s.to_tensors()).collect();
         let xs: Vec<&Tensor> = encoded.iter().map(|(x, _, _)| x).collect();
         let x = Tensor::stack_batch(&xs);
-        let logits = net.forward_batch_in(&x, ws);
+        let logits = net.forward_in(&x, ws);
         let targets: Vec<&Tensor> = encoded.iter().map(|(_, t, _)| t).collect();
         let masks: Vec<&Tensor> = encoded.iter().map(|(_, _, m)| m).collect();
         let out = bce_with_logits_batch(&logits, &targets, &masks);
         let mut grad = out.grad;
         grad.scale(scale);
-        let grad_in = net.backward_batch_in(grad, ws);
+        let grad_in = net.backward_in(grad, ws);
         ws.free(grad_in);
         ws.free(logits);
         ws.free(x);
@@ -474,8 +485,9 @@ impl Trainer {
         out.loss * scale
     }
 
-    /// The reference batch fit: one forward/backward per sample, gradients
-    /// accumulated in sample order. [`Trainer::fit_batch`] must match this
+    /// The reference batch fit: one forward/backward per sample (a batch of
+    /// one, the rank-4 sample tensor read as `B = 1`), gradients accumulated
+    /// in sample order. [`Trainer::fit_batch`] must match this
     /// bit-for-bit on homogeneous batches; it also serves as the fallback
     /// for mixed-size batches and as the baseline arm of
     /// `selector_batch_bench`.
@@ -699,6 +711,38 @@ mod tests {
         let mut t4 = Trainer::new(tiny_config());
         t4.load_checkpoint(&mut s4, &path).unwrap();
         assert_eq!(before, s4.fsp(&g, &[]));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Length fields of a checkpoint never size an allocation: a weights
+    /// length or a moment count of `u64::MAX` is an error (not an abort),
+    /// and a failed load leaves the selector and optimizer as they were.
+    #[test]
+    fn corrupt_checkpoint_lengths_are_errors_and_change_nothing() {
+        let dir = std::env::temp_dir().join("oarsmt_ckpt_corrupt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trainer.ckpt");
+        let mut trainer = Trainer::new(tiny_config());
+        let mut selector = tiny_selector(5);
+        trainer.run_stage(&mut selector, 0).unwrap();
+        trainer.save_checkpoint(&mut selector, 1, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // Layout: magic (8), next stage (8), weights length (8), weights,
+        // then Adam's step count (8) and moment count (8).
+        let weights_len = u64::from_le_bytes(good[16..24].try_into().unwrap()) as usize;
+        let count_at = 24 + weights_len + 8;
+        let g = oarsmt_geom::HananGraph::uniform(5, 5, 1, 1.0, 1.0, 3.0);
+        use oarsmt::selector::Selector;
+        for (at, what) in [(16, "weights length"), (count_at, "moment count")] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            let mut s = tiny_selector(9);
+            let before = s.fsp(&g, &[]);
+            let mut t = Trainer::new(tiny_config());
+            assert!(t.load_checkpoint(&mut s, &path).is_err(), "{what}");
+            assert_eq!(before, s.fsp(&g, &[]), "{what}: selector changed");
+        }
         std::fs::remove_file(&path).ok();
     }
 

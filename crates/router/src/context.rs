@@ -170,7 +170,7 @@ pub struct RouteContext {
     /// Selected-point scratch mirroring [`RouteContext::selected_idx`].
     pub selected_points: Vec<GridPoint>,
     /// Neural-network scratch arena for the selector inference path
-    /// (`Selector::fsp_into_ws` threads this through `UNet3d::predict_in`
+    /// (`Selector::fsp_into_ws` threads this through `UNet3d::infer_in`
     /// so repeated inference performs no tensor allocation).
     pub nn: NnWorkspace,
     /// Tier A telemetry owned at the router level (pruned Steiner points,
